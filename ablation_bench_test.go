@@ -137,11 +137,11 @@ func BenchmarkAblationIngestBulk(b *testing.B) {
 	}
 }
 
-// --- Ablation 5: window-close cost for raw-buffer recompute vs shared
-// slices, isolating the slice mechanism from fan-out (k=1).
+// --- Ablation 5: window-close cost for raw-buffer recompute vs
+// incremental state, isolating the slice mechanism from fan-out (k=1).
 
-func benchWindowClose(b *testing.B, share bool) {
-	e := mustOpen(b, Config{DisableSharing: !share, DisableIVM: true})
+func benchWindowClose(b *testing.B, incremental bool) {
+	e := mustOpen(b, Config{DisableIVM: !incremental})
 	mustScript(b, e, `CREATE STREAM s (k bigint, at timestamp CQTIME USER)`)
 	cq, err := e.Subscribe(`SELECT k, count(*) FROM s <VISIBLE '10 minutes' ADVANCE '1 minute'> GROUP BY k`)
 	if err != nil {
@@ -151,8 +151,8 @@ func benchWindowClose(b *testing.B, share bool) {
 	base := MustTimestamp("2009-01-04 00:00:00").UnixMicro()
 	// Prime ten minutes of data so the sliding extent is full, then per
 	// iteration stream one more minute (5,000 rows) and close one window:
-	// the unshared path re-reads the whole 10-minute extent per close, the
-	// shared path merges ten slice partials.
+	// re-execution re-reads the whole 10-minute extent per close, the
+	// incremental path emits its 500 groups and retracts one slice.
 	const perMinute = 5000
 	const gap = 60_000_000 / perMinute
 	mint := func(minute int64) []Row {
@@ -182,5 +182,5 @@ func benchWindowClose(b *testing.B, share bool) {
 	}
 }
 
-func BenchmarkAblationWindowCloseShared(b *testing.B)   { benchWindowClose(b, true) }
-func BenchmarkAblationWindowCloseUnshared(b *testing.B) { benchWindowClose(b, false) }
+func BenchmarkAblationWindowCloseIncremental(b *testing.B) { benchWindowClose(b, true) }
+func BenchmarkAblationWindowCloseReexec(b *testing.B)      { benchWindowClose(b, false) }

@@ -438,8 +438,8 @@ type Span struct {
 	Rows int
 	// Slow marks spans force-recorded by slow-fire detection.
 	Slow bool
-	// Mode tags window-fire spans with the fire strategy ("incremental",
-	// "shared", "reexec"); empty on other stages.
+	// Mode tags window-fire spans with the fire strategy ("incremental" or
+	// "reexec"); empty on other stages.
 	Mode string
 }
 

@@ -31,7 +31,7 @@ var index = []struct{ id, what string }{
 	{"F1", "Figure 1: windows produce a sequence of tables — window kinds, correctness, throughput"},
 	{"E1", "§4 case study: network-security report, store-first vs continuous (the 'orders of magnitude' claim)"},
 	{"E2", "§1.1 growth sweep: report latency vs event volume"},
-	{"E3", "§2.2 shared 'Jellybean' processing: k CQs shared vs unshared"},
+	{"E3", "§2.2 shared 'Jellybean' processing: k CQs with vs without plan sharing"},
 	{"E4", "§5 materialized views: periodic refresh vs Active Tables (cost + staleness)"},
 	{"E5", "§3.3/§6 stream-table joins: enrichment and Example 5 historical comparison"},
 	{"E6", "§4 recovery: rebuild from Active Tables vs recompute from raw archive"},
@@ -45,6 +45,16 @@ var index = []struct{ id, what string }{
 	{"E14", "incremental maintenance: fire latency vs window width, re-exec vs delta-maintained (internal/ivm)"},
 	{"E15", "work-stealing scheduler + plan sharing: 100/1k/10k CQs, registration + ingest + fire latency, serial-equivalence gated"},
 	{"E16", "self-observability overhead: ingest throughput with sysmon off / 1s default / 10ms aggressive, allocs/snapshot"},
+}
+
+// runners maps each index id to its experiment.
+var runners = map[string]func(experiments.Scale) (*experiments.Table, error){
+	"F1": experiments.F1, "E1": experiments.E1, "E2": experiments.E2,
+	"E3": experiments.E3, "E4": experiments.E4, "E5": experiments.E5,
+	"E6": experiments.E6, "E7": experiments.E7, "E8": experiments.E8,
+	"E9": experiments.E9, "E10": experiments.E10, "E11": experiments.E11,
+	"E12": experiments.E12, "E13": experiments.E13, "E14": experiments.E14,
+	"E15": experiments.E15, "E16": experiments.E16,
 }
 
 // jsonReport is the machine-readable output format for -json: enough
@@ -247,6 +257,30 @@ func checkBudget(path string, tables []*experiments.Table) error {
 	return nil
 }
 
+// parseOnly turns the -only list into a set of experiment ids, refusing
+// any id the index does not know and naming the valid ones. An empty list
+// selects everything (an empty set).
+func parseOnly(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		return want, nil
+	}
+	known := map[string]bool{}
+	ids := make([]string, len(index))
+	for i, e := range index {
+		known[e.id] = true
+		ids[i] = e.id
+	}
+	for _, id := range strings.Split(only, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !known[id] {
+			return nil, fmt.Errorf("unknown experiment %q in -only; valid ids: %s", id, strings.Join(ids, ", "))
+		}
+		want[id] = true
+	}
+	return want, nil
+}
+
 func main() {
 	scale := flag.Float64("scale", 1.0, "experiment size multiplier (1.0 = full laptop scale)")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
@@ -264,20 +298,10 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-	}
-
-	runners := map[string]func(experiments.Scale) (*experiments.Table, error){
-		"F1": experiments.F1, "E1": experiments.E1, "E2": experiments.E2,
-		"E3": experiments.E3, "E4": experiments.E4, "E5": experiments.E5,
-		"E6": experiments.E6, "E7": experiments.E7, "E8": experiments.E8,
-		"E9": experiments.E9, "E10": experiments.E10, "E11": experiments.E11,
-		"E12": experiments.E12, "E13": experiments.E13, "E14": experiments.E14,
-		"E15": experiments.E15, "E16": experiments.E16,
+	want, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "srbench: %v\n", err)
+		os.Exit(2)
 	}
 
 	fmt.Printf("streamrel experiment suite (scale %.2g)\n", *scale)
@@ -297,10 +321,7 @@ func main() {
 		if len(want) > 0 && !want[e.id] {
 			continue
 		}
-		run, ok := runners[e.id]
-		if !ok {
-			continue
-		}
+		run := runners[e.id]
 		t0 := time.Now()
 		table, err := run(experiments.Scale(*scale))
 		if err != nil {

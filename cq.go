@@ -30,9 +30,6 @@ type Batch struct {
 type CQ struct {
 	// Columns names and types the result rows.
 	Columns Schema
-	// SharedAggregation reports whether this CQ computes via shared window
-	// slices (the paper's shared processing).
-	SharedAggregation bool
 	// Incremental reports whether this CQ is maintained incrementally:
 	// fires emit from materialized per-group state (internal/ivm) instead
 	// of re-executing the plan over the window's rows.
@@ -87,7 +84,6 @@ func (e *Engine) SubscribeArgs(sqlText string, args ...Value) (*CQ, error) {
 		return nil, err
 	}
 	cq.pipe = pipe
-	cq.SharedAggregation = pipe.Shared()
 	cq.Incremental = pipe.Incremental()
 	return cq, nil
 }
@@ -152,6 +148,6 @@ func (cq *CQ) Close() {
 // RuntimeStats exposes continuous-processing counters.
 type RuntimeStats = stream.Stats
 
-// Stats returns stream-runtime counters (pipelines, shared aggregations,
-// windows fired).
+// Stats returns stream-runtime counters (pipelines, plan groups,
+// incremental pipelines, windows fired).
 func (e *Engine) Stats() RuntimeStats { return e.rt.Stats() }

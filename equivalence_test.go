@@ -14,42 +14,63 @@ import (
 // continuous query reports, running the equivalent snapshot query over
 // the same rows loaded into a table must give identical results.
 //
-// The harness generates random event streams, runs a tumbling-window CQ,
-// and for every window close re-runs the query as plain SQL over a table
-// containing exactly that window's rows.
+// The harness generates random event streams, runs a windowed CQ
+// (tumbling unless the case says otherwise), and for every window close
+// re-runs the query as plain SQL over a table containing exactly that
+// window's rows, loaded in arrival order.
 func TestContinuousEqualsSnapshot(t *testing.T) {
 	queries := []struct {
 		cq       string // over the stream (with window)
 		snapshot string // over the table
+		visible  int64  // window extent in minutes; ADVANCE is always 1 minute
 	}{
 		{
 			`SELECT url, count(*) AS n FROM s <ADVANCE '1 minute'> GROUP BY url ORDER BY url`,
 			`SELECT url, count(*) AS n FROM w GROUP BY url ORDER BY url`,
+			1,
 		},
 		{
 			`SELECT count(*), sum(v), min(v), max(v), avg(v) FROM s <ADVANCE '1 minute'>`,
 			`SELECT count(*), sum(v), min(v), max(v), avg(v) FROM w`,
+			1,
 		},
 		{
 			`SELECT url, sum(v) FROM s <ADVANCE '1 minute'> WHERE v % 3 = 0 GROUP BY url HAVING count(*) > 1 ORDER BY url`,
 			`SELECT url, sum(v) FROM w WHERE v % 3 = 0 GROUP BY url HAVING count(*) > 1 ORDER BY url`,
+			1,
 		},
 		{
 			`SELECT DISTINCT url FROM s <ADVANCE '1 minute'> ORDER BY url LIMIT 5`,
 			`SELECT DISTINCT url FROM w ORDER BY url LIMIT 5`,
+			1,
 		},
 		{
 			`SELECT url, count(distinct v) FROM s <ADVANCE '1 minute'> GROUP BY url ORDER BY url`,
 			`SELECT url, count(distinct v) FROM w GROUP BY url ORDER BY url`,
+			1,
 		},
 		{
 			`SELECT upper(url), v * 2 FROM s <ADVANCE '1 minute'> WHERE v > 50 ORDER BY 2 DESC, 1 LIMIT 10`,
 			`SELECT upper(url), v * 2 FROM w WHERE v > 50 ORDER BY 2 DESC, 1 LIMIT 10`,
+			1,
+		},
+		// Order-sensitive DISTINCT aggregates over a sliding window: the
+		// incremental state re-merges slice partials as slices expire, and
+		// must replay each partial's distinct values in arrival order.
+		{
+			`SELECT url, first(DISTINCT v), last(DISTINCT v) FROM s <VISIBLE '3 minutes' ADVANCE '1 minute'> GROUP BY url`,
+			`SELECT url, first(DISTINCT v), last(DISTINCT v) FROM w GROUP BY url ORDER BY url`,
+			3,
+		},
+		{
+			`SELECT first(v), last(v), stddev(v), variance(v), sum(DISTINCT v) FROM s <VISIBLE '2 minutes' ADVANCE '1 minute'>`,
+			`SELECT first(v), last(v), stddev(v), variance(v), sum(DISTINCT v) FROM w`,
+			2,
 		},
 	}
 
 	for qi, q := range queries {
-		for _, mode := range []string{"incremental", "shared", "reexec"} {
+		for _, mode := range []string{"incremental", "reexec"} {
 			rng := rand.New(rand.NewSource(int64(qi) + 100))
 			eng := openMemMode(t, mode)
 			mustExec(t, eng, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
@@ -87,10 +108,12 @@ func TestContinuousEqualsSnapshot(t *testing.T) {
 				// Load exactly this window's rows into w and run the
 				// snapshot query.
 				mustExec(t, eng, `TRUNCATE TABLE w`)
-				minute := b.Close.UnixMicro()/60_000_000 - 1
-				if rows := byMinute[minute]; len(rows) > 0 {
-					if err := eng.BulkInsert("w", rows); err != nil {
-						t.Fatal(err)
+				last := b.Close.UnixMicro()/60_000_000 - 1
+				for minute := last - q.visible + 1; minute <= last; minute++ {
+					if rows := byMinute[minute]; len(rows) > 0 {
+						if err := eng.BulkInsert("w", rows); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 				snap := mustQuery(t, eng, q.snapshot)
@@ -118,17 +141,15 @@ func TestContinuousEqualsSnapshot(t *testing.T) {
 }
 
 // openMemMode opens an engine pinned to one window-fire strategy:
-// "incremental" (IVM where eligible), "shared" (slice sharing, no IVM),
-// or "reexec" (per-fire plan re-execution only).
+// "incremental" (IVM where eligible) or "reexec" (per-fire plan
+// re-execution only).
 func openMemMode(t *testing.T, mode string) *Engine {
 	t.Helper()
 	cfg := Config{}
 	switch mode {
 	case "incremental":
-	case "shared":
-		cfg.DisableIVM = true
 	case "reexec":
-		cfg.DisableIVM, cfg.DisableSharing = true, true
+		cfg.DisableIVM = true
 	default:
 		t.Fatalf("unknown mode %q", mode)
 	}

@@ -77,8 +77,8 @@ func main() {
 	}
 	defer byAdvertiser.Close()
 
-	fmt.Printf("shared aggregation: spend5m=%v spend15m=%v (same slices!)  join CQ shared=%v\n",
-		spend5m.SharedAggregation, spend15m.SharedAggregation, byAdvertiser.SharedAggregation)
+	fmt.Printf("incremental: spend5m=%v spend15m=%v  join CQ incremental=%v\n",
+		spend5m.Incremental, spend15m.Incremental, byAdvertiser.Incremental)
 
 	// Stream 20 minutes of impressions.
 	gen := workload.NewImpressions(workload.ImpressionConfig{
@@ -91,8 +91,8 @@ func main() {
 	eng.AdvanceTime("imp_stream", time.UnixMicro(gen.Now()).UTC().Add(time.Minute))
 
 	stats := eng.Stats()
-	fmt.Printf("runtime: %d pipelines, %d shared slice aggregations, %d windows fired\n\n",
-		stats.Pipelines, stats.SharedAggs, stats.WindowsFired)
+	fmt.Printf("runtime: %d pipelines, %d incremental, %d windows fired\n\n",
+		stats.Pipelines, stats.IncrementalPipes, stats.WindowsFired)
 
 	// Dashboard poll: the REPLACE Active Table holds the latest minute.
 	rows, err := eng.Query(`

@@ -12,8 +12,8 @@ import (
 )
 
 // execExplain reports what the planner decided for a statement: snapshot
-// vs continuous, the windowed stream, whether the shared slice path
-// applies, and the output schema. (Operator-level plan trees are an
+// vs continuous, the windowed stream, the fire mode, plan sharing, and the
+// output schema. (Operator-level plan trees are an
 // implementation detail; this surfaces the decisions that matter in this
 // architecture.)
 func (e *Engine) execExplain(s *sql.Explain) (*Result, error) {
@@ -42,21 +42,14 @@ func (e *Engine) execExplain(s *sql.Explain) (*Result, error) {
 			lines = append(lines, "  mode: incremental (delta-maintained per-group state; fires emit without re-scanning the window)")
 		}
 		if p.StreamAgg != nil {
-			lines = append(lines, "  shared slice aggregation: eligible")
 			lines = append(lines, "  fingerprint: "+p.StreamAgg.Fingerprint)
-			gkey, subs, skey, sm := e.rt.SharingInfo(p)
-			if gkey != "" {
+			if gkey, subs := e.rt.SharingInfo(p); gkey != "" {
 				// Live plan-sharing group this CQ would subscribe to (count
 				// is current subscribers; this CQ would be subs+1).
 				lines = append(lines, fmt.Sprintf("  shared: %s (%d subscribers)", gkey, subs))
-			} else if e.cfg.DisablePlanSharing || e.cfg.DisableSharing {
+			} else if e.cfg.DisablePlanSharing || e.cfg.DisableIVM {
 				lines = append(lines, "  shared: plan sharing disabled")
 			}
-			if skey != "" {
-				lines = append(lines, fmt.Sprintf("  shared slices: %s (%d members)", skey, sm))
-			}
-		} else {
-			lines = append(lines, "  shared slice aggregation: not applicable (per-window plan)")
 		}
 		if e.cfg.ParallelCQ > 0 {
 			lines = append(lines, fmt.Sprintf("  sched: stealing (%d workers, mailbox bound %d)",

@@ -79,12 +79,12 @@ func runFanout(t *testing.T, cfg Config) [][]string {
 
 // TestFanoutParallelMatchesSerial is the acceptance equivalence test: with
 // ParallelCQ enabled, every CQ's output — batch boundaries, row contents,
-// row order — is byte-identical to the synchronous engine, with sharing
-// both on and off.
+// row order — is byte-identical to the synchronous engine, with plan
+// sharing both on and off.
 func TestFanoutParallelMatchesSerial(t *testing.T) {
 	for _, sharing := range []bool{false, true} {
-		serial := runFanout(t, Config{DisableSharing: !sharing})
-		parallel := runFanout(t, Config{DisableSharing: !sharing, ParallelCQ: 4})
+		serial := runFanout(t, Config{DisablePlanSharing: !sharing})
+		parallel := runFanout(t, Config{DisablePlanSharing: !sharing, ParallelCQ: 4})
 		for i := range serial {
 			if len(serial[i]) == 0 {
 				t.Fatalf("CQ %d produced no output; workload too small", i)

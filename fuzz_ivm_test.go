@@ -14,18 +14,26 @@ import (
 // windows, expires slices, including empty-window fires over quiet gaps)
 // or "append a row" with a small group-key space (including NULL keys and
 // NULL aggregate inputs, so retraction of NULL-bearing slices is covered).
+// The queries cover every delta kind: subtracted COUNT/SUM/AVG and the
+// re-merged MIN/MAX, STDDEV/VARIANCE, FIRST/LAST and DISTINCT forms.
 // Values stay integer-valued so float arithmetic is exact under any
-// add/retract order.
+// add/retract/merge order.
 func FuzzIVMEquivalence(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0xf0, 0x33, 0x44, 0xff, 0x55})
 	f.Add([]byte{0xf7, 0xf7, 0xf7, 0x01})
 	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0xf1, 0x90, 0xa0})
 	f.Add([]byte{})
+	// One group across many slices with repeated values, then expiries:
+	// re-merged first/last and DISTINCT partials after each retraction.
+	f.Add([]byte{0x01, 0x05, 0x11, 0x07, 0x01, 0x05, 0xf2, 0x03, 0x11, 0x05, 0xf2, 0x07, 0x01, 0xf5, 0x05, 0xf9})
+	f.Add([]byte{0x22, 0x62, 0x2a, 0x6a, 0x22, 0xf1, 0x3a, 0x22, 0x2a, 0xf1, 0x62, 0xf3, 0x3a, 0xff})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		queries := []string{
 			`SELECT url, count(*), count(v), sum(v), avg(v), min(v), max(v)
 				FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`,
 			`SELECT count(*), sum(f), min(f), max(f) FROM s <VISIBLE '20 seconds' ADVANCE '10 seconds'>`,
+			`SELECT url, stddev(v), variance(f), first(v), last(f), count(DISTINCT v), last(DISTINCT f)
+				FROM s <VISIBLE '30 seconds' ADVANCE '10 seconds'> GROUP BY url`,
 		}
 		run := func(mode string) []string {
 			e := openMemMode(t, mode)

@@ -9,11 +9,13 @@ import (
 
 // DeltaKind classifies how one aggregate call is maintained incrementally
 // (DBToaster-style delta processing). Subtractable kinds undo an expired
-// slice by subtracting its partial; min/max have no inverse, so expiry
-// re-merges the surviving per-slice partials instead.
+// slice by subtracting its partial; every other aggregate is mergeable but
+// has no inverse, so expiry re-merges the surviving per-slice partials
+// instead (Fegaras's mergeable-partial maintenance, PAPERS.md).
 type DeltaKind int
 
-// Delta kinds, one per incrementally maintainable aggregate.
+// Delta kinds: three subtractable, and one re-merged kind covering every
+// other aggregate.
 const (
 	// DeltaCount subtracts the expired slice's row count.
 	DeltaCount DeltaKind = iota
@@ -21,15 +23,15 @@ const (
 	DeltaSum
 	// DeltaAvg is the SUM+COUNT decomposition: both parts subtract.
 	DeltaAvg
-	// DeltaMin re-merges surviving slice partials on expiry.
-	DeltaMin
-	// DeltaMax re-merges surviving slice partials on expiry.
-	DeltaMax
+	// DeltaMerge wraps the aggregate's mergeable expr.Acc (min, max,
+	// stddev, variance, first, last, and every DISTINCT form) and
+	// re-merges surviving slice partials on expiry.
+	DeltaMerge
 )
 
 // Subtractable reports whether retraction is an exact inverse (Sub), as
 // opposed to requiring a re-merge of the surviving partials.
-func (k DeltaKind) Subtractable() bool { return k != DeltaMin && k != DeltaMax }
+func (k DeltaKind) Subtractable() bool { return k != DeltaMerge }
 
 // DeltaAcc is a retractable aggregate accumulator. Add and Result follow
 // expr.Acc semantics exactly (same NULL handling, same numeric widening,
@@ -45,21 +47,23 @@ type DeltaAcc interface {
 }
 
 // NewDeltaAcc returns a fresh accumulator for the kind. The spec supplies
-// count(*)'s star flag; the caller has already rejected DISTINCT.
-func NewDeltaAcc(k DeltaKind, spec expr.AggSpec) DeltaAcc {
+// count(*)'s star flag and, for DeltaMerge, the aggregate to wrap.
+func NewDeltaAcc(k DeltaKind, spec expr.AggSpec) (DeltaAcc, error) {
 	switch k {
 	case DeltaCount:
-		return &deltaCount{star: spec.Star}
+		return &deltaCount{star: spec.Star}, nil
 	case DeltaSum:
-		return &deltaSum{}
+		return &deltaSum{}, nil
 	case DeltaAvg:
-		return &deltaAvg{}
-	case DeltaMin:
-		return &deltaMinMax{want: -1}
-	case DeltaMax:
-		return &deltaMinMax{want: 1}
+		return &deltaAvg{}, nil
+	case DeltaMerge:
+		acc, err := expr.NewAcc(spec)
+		if err != nil {
+			return nil, err
+		}
+		return &deltaMerge{acc: acc}, nil
 	}
-	return nil
+	return nil, fmt.Errorf("exec: unknown delta kind %d", k)
 }
 
 // deltaCount maintains count(*) / count(x).
@@ -211,55 +215,28 @@ func (a *deltaAvg) Result() types.Datum {
 	return types.NewFloat(a.f / float64(a.n))
 }
 
-// deltaMinMax maintains min (want=-1) / max (want=+1). It has no inverse:
-// Sub always errors, and slice expiry rebuilds the window value by merging
-// the surviving per-slice partials in ascending slice order — which keeps
-// the first-seen-wins tie behavior of direct evaluation, because rows
-// arrive in timestamp order.
-type deltaMinMax struct {
-	want int
-	seen bool
-	best types.Datum
-}
+// deltaMerge adapts a mergeable expr.Acc. It has no inverse: Sub always
+// errors, and slice expiry rebuilds the window value by merging the
+// surviving per-slice partials in ascending slice order — which keeps the
+// arrival-order behavior of direct evaluation (min/max ties, first/last,
+// DISTINCT's first-seen order), because rows arrive in timestamp order.
+type deltaMerge struct{ acc expr.Acc }
 
-func (a *deltaMinMax) Add(v types.Datum) error {
-	if v.IsNull() {
-		return nil
-	}
-	if !a.seen {
-		a.best, a.seen = v, true
-		return nil
-	}
-	if !types.Comparable(v.Type(), a.best.Type()) {
-		return fmt.Errorf("expr: min/max over mixed types %s and %s", v.Type(), a.best.Type())
-	}
-	if c := types.Compare(v, a.best); (a.want < 0 && c < 0) || (a.want > 0 && c > 0) {
-		a.best = v
-	}
-	return nil
-}
+func (a *deltaMerge) Add(v types.Datum) error { return a.acc.Add(v) }
 
-func (a *deltaMinMax) Merge(o DeltaAcc) error {
-	b, ok := o.(*deltaMinMax)
+func (a *deltaMerge) Merge(o DeltaAcc) error {
+	b, ok := o.(*deltaMerge)
 	if !ok {
 		return deltaTypeErr(a, o)
 	}
-	if b.seen {
-		return a.Add(b.best)
-	}
-	return nil
+	return a.acc.Merge(b.acc)
 }
 
-func (a *deltaMinMax) Sub(o DeltaAcc) error {
-	return fmt.Errorf("exec: min/max has no retract form; re-merge surviving partials")
+func (a *deltaMerge) Sub(o DeltaAcc) error {
+	return fmt.Errorf("exec: %T has no retract form; re-merge surviving partials", a.acc)
 }
 
-func (a *deltaMinMax) Result() types.Datum {
-	if !a.seen {
-		return types.Null
-	}
-	return a.best
-}
+func (a *deltaMerge) Result() types.Datum { return a.acc.Result() }
 
 func deltaTypeErr(a, b DeltaAcc) error {
 	return fmt.Errorf("exec: cannot combine %T into %T", b, a)

@@ -8,6 +8,15 @@ import (
 	"streamrel/internal/types"
 )
 
+func newDelta(t *testing.T, k DeltaKind, spec expr.AggSpec) DeltaAcc {
+	t.Helper()
+	a, err := NewDeltaAcc(k, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func mustAdd(t *testing.T, a DeltaAcc, vs ...types.Datum) {
 	t.Helper()
 	for _, v := range vs {
@@ -19,8 +28,8 @@ func mustAdd(t *testing.T, a DeltaAcc, vs ...types.Datum) {
 
 // TestDeltaCount covers star vs column semantics and exact retraction.
 func TestDeltaCount(t *testing.T) {
-	star := NewDeltaAcc(DeltaCount, expr.AggSpec{Star: true})
-	col := NewDeltaAcc(DeltaCount, expr.AggSpec{})
+	star := newDelta(t, DeltaCount, expr.AggSpec{Star: true})
+	col := newDelta(t, DeltaCount, expr.AggSpec{})
 	for _, a := range []DeltaAcc{star, col} {
 		mustAdd(t, a, types.NewInt(1), types.Null, types.NewInt(2))
 	}
@@ -32,7 +41,7 @@ func TestDeltaCount(t *testing.T) {
 	}
 
 	// Retract a slice partial: count drops by the slice's contribution.
-	slice := NewDeltaAcc(DeltaCount, expr.AggSpec{Star: true})
+	slice := newDelta(t, DeltaCount, expr.AggSpec{Star: true})
 	mustAdd(t, slice, types.NewInt(1), types.NewInt(2))
 	if err := star.Sub(slice); err != nil {
 		t.Fatal(err)
@@ -47,9 +56,9 @@ func TestDeltaCount(t *testing.T) {
 // while a float remains visible, exactly like re-running expr.sumAcc
 // over the surviving rows.
 func TestDeltaSumWidening(t *testing.T) {
-	w := NewDeltaAcc(DeltaSum, expr.AggSpec{})
-	sliceInt := NewDeltaAcc(DeltaSum, expr.AggSpec{})
-	sliceFloat := NewDeltaAcc(DeltaSum, expr.AggSpec{})
+	w := newDelta(t, DeltaSum, expr.AggSpec{})
+	sliceInt := newDelta(t, DeltaSum, expr.AggSpec{})
+	sliceFloat := newDelta(t, DeltaSum, expr.AggSpec{})
 	mustAdd(t, sliceInt, types.NewInt(3), types.NewInt(4))
 	mustAdd(t, sliceFloat, types.NewFloat(1.5))
 	if err := w.Merge(sliceInt); err != nil {
@@ -82,8 +91,8 @@ func TestDeltaSumWidening(t *testing.T) {
 // TestDeltaSumInterval pins the interval branch: intervals win the
 // widening precedence and retract exactly.
 func TestDeltaSumInterval(t *testing.T) {
-	w := NewDeltaAcc(DeltaSum, expr.AggSpec{})
-	slice := NewDeltaAcc(DeltaSum, expr.AggSpec{})
+	w := newDelta(t, DeltaSum, expr.AggSpec{})
+	slice := newDelta(t, DeltaSum, expr.AggSpec{})
 	mustAdd(t, w, types.NewInterval(2*time.Second))
 	mustAdd(t, slice, types.NewInterval(500*time.Millisecond))
 	if err := w.Merge(slice); err != nil {
@@ -106,8 +115,8 @@ func TestDeltaSumInterval(t *testing.T) {
 // TestDeltaAvg checks the SUM+COUNT decomposition, NULL inputs, and the
 // NULL result over an empty window.
 func TestDeltaAvg(t *testing.T) {
-	w := NewDeltaAcc(DeltaAvg, expr.AggSpec{})
-	slice := NewDeltaAcc(DeltaAvg, expr.AggSpec{})
+	w := newDelta(t, DeltaAvg, expr.AggSpec{})
+	slice := newDelta(t, DeltaAvg, expr.AggSpec{})
 	mustAdd(t, w, types.NewInt(1), types.Null, types.NewInt(2))
 	mustAdd(t, slice, types.NewFloat(6))
 	if err := w.Merge(slice); err != nil {
@@ -122,7 +131,7 @@ func TestDeltaAvg(t *testing.T) {
 	if got := w.Result(); got.Float() != 1.5 {
 		t.Fatalf("after retract = %v, want 1.5", got)
 	}
-	empty := NewDeltaAcc(DeltaAvg, expr.AggSpec{})
+	empty := newDelta(t, DeltaAvg, expr.AggSpec{})
 	if !empty.Result().IsNull() {
 		t.Fatal("avg over empty window should be NULL")
 	}
@@ -131,11 +140,11 @@ func TestDeltaAvg(t *testing.T) {
 	}
 }
 
-// TestDeltaMinMax checks merge order independence for values, the
-// explicit Sub error, and NULL handling.
+// TestDeltaMinMax checks min/max through DeltaMerge: merge order
+// independence for values, the explicit Sub error, and NULL handling.
 func TestDeltaMinMax(t *testing.T) {
-	min := NewDeltaAcc(DeltaMin, expr.AggSpec{})
-	max := NewDeltaAcc(DeltaMax, expr.AggSpec{})
+	min := newDelta(t, DeltaMerge, expr.AggSpec{Name: "min"})
+	max := newDelta(t, DeltaMerge, expr.AggSpec{Name: "max"})
 	for _, a := range []DeltaAcc{min, max} {
 		mustAdd(t, a, types.NewInt(5), types.Null, types.NewInt(2), types.NewInt(9))
 	}
@@ -150,13 +159,13 @@ func TestDeltaMinMax(t *testing.T) {
 	}
 	// Re-merge path used on slice expiry: combining surviving partials
 	// reproduces the window value; an empty partial is a no-op.
-	survivor := NewDeltaAcc(DeltaMax, expr.AggSpec{})
+	survivor := newDelta(t, DeltaMerge, expr.AggSpec{Name: "max"})
 	mustAdd(t, survivor, types.NewInt(7))
-	rebuilt := NewDeltaAcc(DeltaMax, expr.AggSpec{})
+	rebuilt := newDelta(t, DeltaMerge, expr.AggSpec{Name: "max"})
 	if err := rebuilt.Merge(survivor); err != nil {
 		t.Fatal(err)
 	}
-	if err := rebuilt.Merge(NewDeltaAcc(DeltaMax, expr.AggSpec{})); err != nil {
+	if err := rebuilt.Merge(newDelta(t, DeltaMerge, expr.AggSpec{Name: "max"})); err != nil {
 		t.Fatal(err)
 	}
 	if got := rebuilt.Result(); got.Int() != 7 {
@@ -165,7 +174,7 @@ func TestDeltaMinMax(t *testing.T) {
 	if err := rebuilt.Add(types.NewString("x")); err == nil {
 		t.Fatal("min/max over mixed types should error")
 	}
-	if !NewDeltaAcc(DeltaMin, expr.AggSpec{}).Result().IsNull() {
+	if !newDelta(t, DeltaMerge, expr.AggSpec{Name: "min"}).Result().IsNull() {
 		t.Fatal("min over empty window should be NULL")
 	}
 }
@@ -173,8 +182,8 @@ func TestDeltaMinMax(t *testing.T) {
 // TestDeltaKindMismatch: combining different kinds is a bug and must
 // error rather than corrupt state.
 func TestDeltaKindMismatch(t *testing.T) {
-	c := NewDeltaAcc(DeltaCount, expr.AggSpec{Star: true})
-	s := NewDeltaAcc(DeltaSum, expr.AggSpec{})
+	c := newDelta(t, DeltaCount, expr.AggSpec{Star: true})
+	s := newDelta(t, DeltaSum, expr.AggSpec{})
 	if err := c.Merge(s); err == nil {
 		t.Fatal("count.Merge(sum) should error")
 	}
@@ -187,10 +196,43 @@ func TestDeltaKindMismatch(t *testing.T) {
 func TestDeltaSubtractable(t *testing.T) {
 	for k, want := range map[DeltaKind]bool{
 		DeltaCount: true, DeltaSum: true, DeltaAvg: true,
-		DeltaMin: false, DeltaMax: false,
+		DeltaMerge: false,
 	} {
 		if k.Subtractable() != want {
 			t.Errorf("kind %d Subtractable = %v, want %v", k, k.Subtractable(), want)
 		}
+	}
+}
+
+// TestDeltaMergeArrivalOrder: re-merging slice partials in slice order
+// reproduces direct evaluation for the order-sensitive aggregates that
+// DeltaMerge wraps — first/last and DISTINCT's first-seen order.
+func TestDeltaMergeArrivalOrder(t *testing.T) {
+	slices := [][]types.Datum{
+		{types.NewInt(3), types.NewInt(1), types.NewInt(3)},
+		{types.NewInt(2), types.NewInt(1), types.NewInt(4)},
+		{types.NewInt(4), types.NewInt(5)},
+	}
+	for _, spec := range []expr.AggSpec{
+		{Name: "first", Distinct: true}, {Name: "last", Distinct: true},
+		{Name: "first"}, {Name: "last"}, {Name: "count", Distinct: true},
+		{Name: "variance"}, {Name: "stddev", Distinct: true},
+	} {
+		direct := newDelta(t, DeltaMerge, spec)
+		merged := newDelta(t, DeltaMerge, spec)
+		for _, vs := range slices {
+			mustAdd(t, direct, vs...)
+			part := newDelta(t, DeltaMerge, spec)
+			mustAdd(t, part, vs...)
+			if err := merged.Merge(part); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := merged.Result(), direct.Result(); types.Compare(got, want) != 0 {
+			t.Errorf("%s distinct=%v: merged %v, direct %v", spec.Name, spec.Distinct, got, want)
+		}
+	}
+	if _, err := NewDeltaAcc(DeltaMerge, expr.AggSpec{Name: "median"}); err == nil {
+		t.Fatal("unknown aggregate should not build a DeltaMerge")
 	}
 }

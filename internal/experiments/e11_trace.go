@@ -27,8 +27,8 @@ func E11(s Scale) (*Table, error) {
 
 	run := func(sampleEvery int) (time.Duration, error) {
 		eng, err := streamrel.Open(streamrel.Config{
-			DisableSharing:   true,
-			TraceSampleEvery: sampleEvery,
+			DisablePlanSharing: true,
+			TraceSampleEvery:   sampleEvery,
 		})
 		if err != nil {
 			return 0, err

@@ -107,9 +107,9 @@ type ingestConfig struct {
 func ingestRun(c ingestConfig) (time.Duration, float64, *metrics.Registry, error) {
 	reg := metrics.NewRegistry()
 	cfg := streamrel.Config{
-		DisableSharing:   true,
-		Metrics:          reg,
-		TraceSampleEvery: -1,
+		DisablePlanSharing: true,
+		Metrics:            reg,
+		TraceSampleEvery:   -1,
 	}
 	if c.parallel {
 		cfg.ParallelCQ = 4

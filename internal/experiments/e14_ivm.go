@@ -121,7 +121,7 @@ type ivmResult struct {
 // Mallocs delta are the per-fire cost.
 func ivmRun(batches [][]streamrel.Row, visibleSec int, base int64, incremental bool) (ivmResult, error) {
 	var res ivmResult
-	cfg := streamrel.Config{TraceSampleEvery: -1, DisableSharing: true}
+	cfg := streamrel.Config{TraceSampleEvery: -1, DisablePlanSharing: true}
 	if !incremental {
 		cfg.DisableIVM = true
 	}

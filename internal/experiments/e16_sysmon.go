@@ -31,8 +31,8 @@ func E16(s Scale) (*Table, error) {
 
 	run := func(interval time.Duration) (time.Duration, error) {
 		eng, err := streamrel.Open(streamrel.Config{
-			DisableSharing: true,
-			SysMonInterval: interval,
+			DisablePlanSharing: true,
+			SysMonInterval:     interval,
 		})
 		if err != nil {
 			return 0, err
@@ -133,8 +133,8 @@ func E16(s Scale) (*Table, error) {
 // SysSnapshot on an engine with k pipelines' worth of telemetry.
 func sysmonAllocsPerSnapshot(k int) (float64, error) {
 	eng, err := streamrel.Open(streamrel.Config{
-		DisableSharing: true,
-		SysMonInterval: -1, // sys.* streams live, ticks manual
+		DisablePlanSharing: true,
+		SysMonInterval:     -1, // sys.* streams live, ticks manual
 	})
 	if err != nil {
 		return 0, err

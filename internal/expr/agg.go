@@ -44,7 +44,8 @@ func (s AggSpec) ResultType() types.Type {
 // Acc is an aggregate accumulator. Accumulators are mergeable: Merge
 // combines another accumulator of the same spec into this one. That
 // property is what lets window slices be aggregated once and combined per
-// window (shared slice aggregation, paper refs [4],[12]).
+// window: incremental maintenance re-merges surviving slice partials for
+// aggregates with no inverse (internal/ivm, paper refs [4],[12]).
 type Acc interface {
 	// Add folds one input value in. For count(*) the value is ignored.
 	Add(v types.Datum) error
@@ -83,7 +84,7 @@ func NewAcc(spec AggSpec) (Acc, error) {
 		if spec.Star {
 			return nil, fmt.Errorf("expr: %s(DISTINCT *) is not valid", spec.Name)
 		}
-		return &distinctAcc{seen: make(map[string]types.Datum), inner: inner}, nil
+		return &distinctAcc{seen: make(map[string]struct{}), inner: inner}, nil
 	}
 	return inner, nil
 }
@@ -338,10 +339,14 @@ func (a *firstLastAcc) Result() types.Datum {
 }
 
 // distinctAcc wraps another accumulator, feeding it each distinct value
-// exactly once. Merging unions the seen-sets and replays the union into a
-// fresh inner accumulator, which keeps DISTINCT exact under slice sharing.
+// exactly once, in first-arrival order. Merging replays the other side's
+// arrival order, skipping values already seen, so a merge of slice
+// partials in time order feeds the inner accumulator exactly the sequence
+// direct evaluation would — which keeps order-sensitive inners
+// (first/last, float sums) deterministic and exact under slice merging.
 type distinctAcc struct {
-	seen  map[string]types.Datum
+	seen  map[string]struct{}
+	order []types.Datum
 	inner Acc
 }
 
@@ -353,7 +358,8 @@ func (a *distinctAcc) Add(v types.Datum) error {
 	if _, ok := a.seen[k]; ok {
 		return nil
 	}
-	a.seen[k] = v
+	a.seen[k] = struct{}{}
+	a.order = append(a.order, v)
 	return a.inner.Add(v)
 }
 
@@ -362,12 +368,9 @@ func (a *distinctAcc) Merge(other Acc) error {
 	if !ok {
 		return mergeTypeErr(a, other)
 	}
-	for k, v := range o.seen {
-		if _, ok := a.seen[k]; !ok {
-			a.seen[k] = v
-			if err := a.inner.Add(v); err != nil {
-				return err
-			}
+	for _, v := range o.order {
+		if err := a.Add(v); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -403,9 +403,6 @@ func TestMergeEqualsDirect(t *testing.T) {
 	}
 	for _, name := range []string{"count", "sum", "avg", "min", "max", "stddev", "variance", "first", "last"} {
 		for _, distinct := range []bool{false, true} {
-			if distinct && (name == "first" || name == "last") {
-				continue // order-sensitive; distinct not meaningful
-			}
 			for split := 0; split <= len(inputs); split++ {
 				direct := newAcc(t, name, distinct)
 				left := newAcc(t, name, distinct)

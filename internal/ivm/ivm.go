@@ -13,15 +13,19 @@
 // (slices) holds per-slice per-group partials — the retraction source:
 // when a slice falls out of the window, subtractable aggregates
 // (COUNT/SUM/AVG — AVG via its SUM+COUNT decomposition) subtract the
-// expired partial from the window accumulator, while MIN/MAX, which have
-// no inverse, re-merge the surviving slice partials in ascending slice
-// order (reproducing arrival-order tie behavior, since streams are
-// in-order). A group leaves the state when its last window row expires,
-// so a vanished group stops emitting exactly as re-execution would.
+// expired partial from the window accumulator, while every other
+// aggregate (MIN/MAX, STDDEV/VARIANCE, FIRST/LAST, any DISTINCT), which
+// has no inverse but merges exactly, re-merges the surviving slice
+// partials in ascending slice order (reproducing arrival-order behavior,
+// since streams are in-order). A group leaves the state when its last
+// window row expires, so a vanished group stops emitting exactly as
+// re-execution would.
 //
-// The stream runtime consults Compile at pipeline registration;
-// non-qualifying plans (plan.Plan.DeltaProgram says why) fall back to the
-// existing re-execution or shared-slice paths untouched.
+// This is the engine's only windowed-aggregate state: plan-group hosts
+// (internal/stream/planshare.go) hold one, so identical CQs share it. The
+// stream runtime consults Compile at pipeline registration;
+// non-qualifying plans (plan.Plan.DeltaProgram says why) fall back to
+// re-executing the plan over buffered window rows.
 package ivm
 
 import (
@@ -72,7 +76,7 @@ type State struct {
 	fireRows    []types.Row
 
 	// anyMerge is true when at least one aggregate is non-subtractable
-	// (min/max), so expiry needs the surviving slice order.
+	// (exec.DeltaMerge), so expiry needs the surviving slice order.
 	anyMerge bool
 
 	// GroupsN and SlicesN mirror len(groups) / len(slices) for metric
@@ -123,12 +127,15 @@ func Compile(p *plan.Plan) (*State, string) {
 	return s, ""
 }
 
-func (s *State) newAccs() []exec.DeltaAcc {
+func (s *State) newAccs() ([]exec.DeltaAcc, error) {
 	accs := make([]exec.DeltaAcc, len(s.kinds))
 	for i, k := range s.kinds {
-		accs[i] = exec.NewDeltaAcc(k, s.spec.Aggs[i])
+		var err error
+		if accs[i], err = exec.NewDeltaAcc(k, s.spec.Aggs[i]); err != nil {
+			return nil, err
+		}
 	}
-	return accs
+	return accs, nil
 }
 
 // Insert applies one arriving row as an insert delta: evaluate the filter
@@ -166,12 +173,20 @@ func (s *State) Insert(row types.Row, ts int64) error {
 	}
 	sg, ok := sl.groups[k]
 	if !ok {
-		sg = &sliceGroup{keys: s.keyScratch.Clone(), accs: s.newAccs()}
+		accs, err := s.newAccs()
+		if err != nil {
+			return err
+		}
+		sg = &sliceGroup{keys: s.keyScratch.Clone(), accs: accs}
 		sl.groups[k] = sg
 	}
 	g, ok := s.groups[k]
 	if !ok {
-		g = &group{keys: sg.keys, accs: s.newAccs()}
+		accs, err := s.newAccs()
+		if err != nil {
+			return err
+		}
+		g = &group{keys: sg.keys, accs: accs}
 		s.groups[k] = g
 		s.pending = append(s.pending, g)
 		s.GroupsN.Add(1)
@@ -213,7 +228,10 @@ func (s *State) Fire() (rows []types.Row, touched int, err error) {
 	touched = len(s.dirty)
 	clear(s.dirty)
 	if len(s.groups) == 0 && len(s.spec.GroupBy) == 0 {
-		accs := s.newAccs()
+		accs, err := s.newAccs()
+		if err != nil {
+			return nil, touched, err
+		}
 		row := make(types.Row, len(accs))
 		for i, a := range accs {
 			row[i] = a.Result()
@@ -278,7 +296,7 @@ func (s *State) maintainOrder() {
 
 // Expire applies retract deltas for every slice starting before keepFrom
 // (the first slice the next window can still see): subtractable
-// aggregates subtract the expired partial; min/max re-merge the surviving
+// aggregates subtract the expired partial; the rest re-merge the surviving
 // per-slice partials for the groups the expired slice held. Groups whose
 // last live row expired are dropped.
 func (s *State) Expire(keepFrom int64) error {
@@ -295,7 +313,7 @@ func (s *State) Expire(keepFrom int64) error {
 	s.SlicesN.Add(-int64(len(expired)))
 	sort.Slice(expired, func(i, j int) bool { return expired[i].start < expired[j].start })
 
-	// Surviving slice starts in ascending order, for min/max re-merge.
+	// Surviving slice starts in ascending order, for the re-merge.
 	var survivors []int64
 	if s.anyMerge {
 		for start := range s.slices {
@@ -326,7 +344,10 @@ func (s *State) Expire(keepFrom int64) error {
 					}
 					continue
 				}
-				acc := exec.NewDeltaAcc(kind, s.spec.Aggs[i])
+				acc, err := exec.NewDeltaAcc(kind, s.spec.Aggs[i])
+				if err != nil {
+					return err
+				}
 				for _, start := range survivors {
 					if osg, ok := s.slices[start].groups[k]; ok {
 						if err := acc.Merge(osg.accs[i]); err != nil {

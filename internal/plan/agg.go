@@ -231,10 +231,11 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 		preRewrite: rewrite,
 	}
 
-	// Shared-aggregation fast path (paper refs [4],[12]): aggregation
-	// directly over the windowed stream. The runtime computes per-slice
-	// partials once per (stream, fingerprint) and merges at window close;
-	// PostBuild runs everything above the aggregation.
+	// Incremental fast path (paper refs [4],[12]): aggregation directly
+	// over the windowed stream. The runtime maintains per-slice partials and
+	// per-group window state (internal/ivm), shared across CQs per
+	// (stream, fingerprint, window); PostBuild runs everything above the
+	// aggregation.
 	//
 	// Subsumption widening: WHERE conjuncts expressible over the
 	// post-aggregation scope — they reference only GROUP BY expressions,
@@ -279,11 +280,8 @@ func (b *builder) buildAggregate(sel *sql.Select, rel *relNode, streamOnly bool)
 			Aggs:        aggSpecs,
 			Fingerprint: fp,
 			PostKey:     postKeyString(residConjs, sel),
-			PostBuild: func(aggRows []types.Row, presorted bool) exec.Operator {
+			PostBuild: func(aggRows []types.Row) exec.Operator {
 				var op exec.Operator = &exec.Relation{Rows: aggRows}
-				if sortedOutput && !presorted {
-					op = &exec.Sort{Child: op, Keys: sortKeysForWidth(len(compiledGroups), compiledGroups)}
-				}
 				for _, rs := range residual {
 					op = &exec.Filter{Child: op, Pred: rs}
 				}
@@ -326,16 +324,6 @@ func postKeyString(resid []sql.Expr, sel *sql.Select) string {
 		b.WriteString("|D")
 	}
 	return b.String()
-}
-
-// sortKeysForWidth sorts agg output rows by their group-key columns so the
-// shared path matches HashAgg's SortedOutput determinism.
-func sortKeysForWidth(n int, groups []*expr.Scalar) []exec.SortKey {
-	keys := make([]exec.SortKey, n)
-	for i := 0; i < n; i++ {
-		keys[i] = exec.SortKey{Expr: columnScalar(i, groups[i].Type)}
-	}
-	return keys
 }
 
 // sameExpr reports structural equality of two expressions, resolving

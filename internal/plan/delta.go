@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"fmt"
-
 	"streamrel/internal/exec"
 	"streamrel/internal/sql"
 )
@@ -11,10 +9,12 @@ import (
 // maintenance and, when it does, how each aggregate is maintained. A plan
 // qualifies when it is a filter/project/group-by aggregate directly over
 // one time-windowed stream (the StreamAgg shape) whose VISIBLE is a
-// multiple of ADVANCE, with every aggregate in COUNT/SUM/AVG/MIN/MAX and
-// no DISTINCT — AVG decomposes into SUM+COUNT, MIN/MAX keep per-slice
-// partials re-merged on expiry. The returned reason is non-empty exactly
-// when the plan must fall back to re-execution; EXPLAIN surfaces it.
+// multiple of ADVANCE; every aggregate then qualifies. COUNT/SUM/AVG
+// (without DISTINCT; AVG decomposes into SUM+COUNT) subtract expired
+// slices; all others — MIN/MAX, STDDEV/VARIANCE, FIRST/LAST and every
+// DISTINCT form — keep mergeable per-slice partials re-merged on expiry.
+// The returned reason is non-empty exactly when the plan must fall back to
+// re-execution; EXPLAIN surfaces it.
 func (p *Plan) DeltaProgram() ([]exec.DeltaKind, string) {
 	if p.Stream == nil {
 		return nil, "not a continuous query"
@@ -31,22 +31,17 @@ func (p *Plan) DeltaProgram() ([]exec.DeltaKind, string) {
 	}
 	kinds := make([]exec.DeltaKind, len(p.StreamAgg.Aggs))
 	for i, a := range p.StreamAgg.Aggs {
-		if a.Distinct {
-			return nil, fmt.Sprintf("%s(DISTINCT …) has no retract form", a.Name)
-		}
-		switch a.Name {
-		case "count":
+		switch {
+		case a.Distinct:
+			kinds[i] = exec.DeltaMerge
+		case a.Name == "count":
 			kinds[i] = exec.DeltaCount
-		case "sum":
+		case a.Name == "sum":
 			kinds[i] = exec.DeltaSum
-		case "avg":
+		case a.Name == "avg":
 			kinds[i] = exec.DeltaAvg
-		case "min":
-			kinds[i] = exec.DeltaMin
-		case "max":
-			kinds[i] = exec.DeltaMax
 		default:
-			return nil, fmt.Sprintf("aggregate %s has no delta form", a.Name)
+			kinds[i] = exec.DeltaMerge
 		}
 	}
 	return kinds, ""

@@ -4,10 +4,10 @@
 // with a window-fed relation as the stream leaf (paper §2.3/§4 — CQ plans
 // reuse the standard relational operators).
 //
-// The planner also detects the shared-aggregation shape (a plain aggregate
+// The planner also detects the stream-aggregate shape (a plain aggregate
 // over a single windowed stream) and exposes its pieces so the stream
-// runtime can evaluate per-slice partial aggregates shared across
-// continuous queries (paper refs [4], [12]).
+// runtime can maintain it incrementally from per-slice partials, shared
+// across continuous queries with the same plan (paper refs [4], [12]).
 package plan
 
 import (
@@ -38,20 +38,20 @@ type StreamInfo struct {
 
 // StreamAgg exposes the pieces of a shareable aggregation plan: aggregate
 // (with optional filter) directly over the stream leaf. The stream runtime
-// computes per-slice partials with Pred/GroupBy/Aggs, merges them at each
-// window close, and feeds the merged groups through PostBuild for HAVING,
-// projection, ORDER BY and LIMIT.
+// maintains per-slice and per-group state with Pred/GroupBy/Aggs
+// (internal/ivm) and feeds the window's groups through PostBuild for
+// HAVING, projection, ORDER BY and LIMIT.
 type StreamAgg struct {
 	Pred    *expr.Scalar // nil if no WHERE
 	GroupBy []*expr.Scalar
 	Aggs    []expr.AggSpec
 	// PostBuild assembles the operators that run over the aggregated rows
-	// (group keys ++ agg results). presorted says the rows already arrive
-	// in group-key order (the incremental path emits straight from its
-	// sorted state), letting the plan skip the determinism re-sort.
-	PostBuild func(aggRows []types.Row, presorted bool) exec.Operator
+	// (group keys ++ agg results). The rows must arrive in group-key order
+	// — the incremental state emits straight from its sorted order — which
+	// gives the determinism exec.HashAgg's SortedOutput gives the full plan.
+	PostBuild func(aggRows []types.Row) exec.Operator
 	// Fingerprint identifies the sliceable computation: two CQs with equal
-	// fingerprints over the same stream can share slice partials. WHERE
+	// fingerprints over the same stream compute the same per-group state. WHERE
 	// conjuncts hoisted into the post stage (see PostKey) are excluded, so
 	// subsumed plans — same grouping, per-subscriber residual filter —
 	// fingerprint identically and share state.

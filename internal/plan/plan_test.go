@@ -347,7 +347,7 @@ func TestStreamQueryPlanning(t *testing.T) {
 		t.Fatalf("stream info: %+v", plan.Stream)
 	}
 	if plan.StreamAgg == nil {
-		t.Fatal("expected shared-aggregation fast path")
+		t.Fatal("expected stream-aggregate fast path")
 	}
 	// Execute the plan against a synthetic window.
 	win := []types.Row{
@@ -371,7 +371,7 @@ func TestStreamAggFastPathDisabledByJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	if plan.StreamAgg != nil {
-		t.Fatal("join query must not take the shared-agg path")
+		t.Fatal("join query must not take the stream-aggregate path")
 	}
 	if plan.Stream == nil {
 		t.Fatal("still a CQ")

@@ -78,8 +78,8 @@ func (b *builder) buildSelect(sel *sql.Select, top bool) (*node, error) {
 		}
 		if n.streamAgg != nil {
 			post := n.streamAgg.PostBuild
-			n.streamAgg.PostBuild = func(rows []types.Row, presorted bool) exec.Operator {
-				return &exec.Limit{Child: post(rows, presorted), Count: limit, Offset: offset}
+			n.streamAgg.PostBuild = func(rows []types.Row) exec.Operator {
+				return &exec.Limit{Child: post(rows), Count: limit, Offset: offset}
 			}
 			n.streamAgg.PostKey += fmt.Sprintf("|L:%d,%d", limit, offset)
 		}
@@ -101,7 +101,7 @@ func (b *builder) buildSelectCore(sel *sql.Select) (*node, error) {
 		}
 	}
 
-	// Shared-aggregation candidacy: a single windowed stream as the only
+	// Stream-aggregate candidacy: a single windowed stream as the only
 	// FROM item, with the whole WHERE applicable at the leaf.
 	streamOnlyFrom := !hadStream && b.stream != nil &&
 		len(sel.From) == 1 && rel.isStreamShape()
@@ -280,7 +280,7 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 		build:     build,
 	}
 	if n.streamAgg != nil && n.aggPostScope != nil && len(hidden) == 0 {
-		// Mirror the sort into the shared-aggregation fast path.
+		// Mirror the sort into the stream-aggregate fast path.
 		post := n.streamAgg.PostBuild
 		var ob strings.Builder
 		ob.WriteString("|O:")
@@ -303,8 +303,8 @@ func (b *builder) applyOrderBy(n *node, sel *sql.Select) (*node, error) {
 			Aggs:        n.streamAgg.Aggs,
 			Fingerprint: n.streamAgg.Fingerprint,
 			PostKey:     n.streamAgg.PostKey + ob.String(),
-			PostBuild: func(rows []types.Row, presorted bool) exec.Operator {
-				return &exec.Sort{Child: post(rows, presorted), Keys: keys}
+			PostBuild: func(rows []types.Row) exec.Operator {
+				return &exec.Sort{Child: post(rows), Keys: keys}
 			},
 		}
 	} else if n.streamAgg != nil {

@@ -16,9 +16,9 @@ import (
 )
 
 // newParallelEnv is newEnv with worker execution enabled.
-func newParallelEnv(t *testing.T, sharing bool, depth int) *env {
+func newParallelEnv(t *testing.T, incremental bool, depth int) *env {
 	t.Helper()
-	e := newEnv(t, sharing)
+	e := newEnv(t, incremental)
 	e.rt.SetParallel(depth)
 	return e
 }
@@ -73,7 +73,7 @@ func runScenario(t *testing.T, e *env, queries []string) [][]string {
 
 // TestParallelMatchesSerial fans one source out to CQs of every window
 // kind and checks that worker execution produces byte-identical results to
-// the synchronous engine, with and without shared aggregation.
+// the synchronous engine, with and without incremental maintenance.
 func TestParallelMatchesSerial(t *testing.T) {
 	queries := []string{
 		`SELECT url, count(*) FROM url_stream <ADVANCE '1 minute'> GROUP BY url`,
@@ -82,9 +82,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 		`SELECT count(*) FROM url_stream <VISIBLE 7 ROWS ADVANCE 3 ROWS>`,
 		`SELECT url FROM url_stream <VISIBLE 4 ROWS ADVANCE 4 ROWS> WHERE url = '/a'`,
 	}
-	for _, sharing := range []bool{false, true} {
-		serial := runScenario(t, newEnv(t, sharing), queries)
-		parallel := runScenario(t, newParallelEnv(t, sharing, 4), queries)
+	for _, incremental := range []bool{false, true} {
+		serial := runScenario(t, newEnv(t, incremental), queries)
+		parallel := runScenario(t, newParallelEnv(t, incremental, 4), queries)
 		for i := range queries {
 			expect(t, parallel[i], serial[i]...)
 		}

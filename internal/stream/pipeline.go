@@ -45,9 +45,6 @@ type Pipeline struct {
 	// SLICES windows: the last n emissions of a derived stream.
 	emissions []emission
 
-	// Shared slice aggregation (nil when not applicable or disabled).
-	shared *sharedAgg
-
 	// Plan-level sharing (see planshare.go). pg is set on a member: the
 	// pipeline is a subscriber of a shared host and receives no row
 	// delivery of its own. hosting is set on the host pipeline that owns
@@ -113,17 +110,16 @@ type emission struct {
 }
 
 // newPipeline validates the window against the source and joins a plan
-// group, an incremental state or a shared slice aggregation when the plan
-// shape allows it.
+// group or builds an incremental state when the plan shape allows it.
 func newPipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink) (*Pipeline, error) {
 	return buildPipeline(rt, src, p, sink, true)
 }
 
 // buildPipeline is newPipeline with plan-group membership controllable:
 // group hosts are themselves built through it with allowGroup=false so
-// the host gets real window state (IVM preferred, shared slices
-// otherwise) instead of recursively joining its own group. Callers hold
-// src.mu.
+// the host gets real window state — always an incremental one, since the
+// group shape is exactly the delta-eligible shape — instead of recursively
+// joining its own group. Callers hold src.mu.
 func buildPipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink, allowGroup bool) (*Pipeline, error) {
 	w := p.Stream.Window
 	pipe := &Pipeline{rt: rt, src: src, plan: p, win: w, sink: sink, resumeAfter: -1 << 62}
@@ -166,8 +162,9 @@ func buildPipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink, allowGroup
 	// pipeline (the first such CQ creates it) instead of building their own
 	// window state. The check runs before IVM so 10k identical dashboards
 	// maintain ONE delta state; the host itself is built through the normal
-	// tail below and so prefers IVM, falling back to shared slices.
-	if allowGroup && rt.planShare && rt.sharing && p.StreamAgg != nil &&
+	// tail below and so gets the incremental state members share. The
+	// lookup runs before ivm.Compile, so a member subscribe builds nothing.
+	if allowGroup && rt.planShare && rt.ivm && p.StreamAgg != nil &&
 		w.Kind == sql.WindowTime && w.Visible%w.Advance == 0 {
 		key := planGroupKey(p.StreamAgg.Fingerprint, w.Advance, w.Visible)
 		g, ok := src.groups[key]
@@ -179,7 +176,7 @@ func buildPipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink, allowGroup
 			g = &planGroup{key: key, host: host}
 			host.hosting = g
 			src.groups[key] = g
-			if rt.parallel > 0 && host.shared == nil {
+			if rt.parallel > 0 {
 				host.startWorker(rt.parallel)
 				src.workers++
 			}
@@ -192,10 +189,7 @@ func buildPipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink, allowGroup
 
 	// Incremental view maintenance: delta-eligible plans maintain
 	// materialized per-group aggregates and fire in O(groups) instead of
-	// re-scanning O(window rows). Takes precedence over shared slices when
-	// both apply — a fire from state beats a per-fire slice merge on the
-	// wide-window/small-advance dashboard shape (E14); identical-shape CQs
-	// give up slice sharing's per-row dedup in exchange.
+	// re-scanning O(window rows).
 	if rt.ivm {
 		if st, reason := ivm.Compile(p); reason == "" {
 			pipe.ivm = st
@@ -215,37 +209,13 @@ func buildPipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink, allowGroup
 					func() float64 { return float64(st.SlicesN.Load()) }, labels...)
 				pipe.unregIVMGauges = func() { unregGroups(); unregSlices() }
 			}
-			return pipe, nil
 		}
-	}
-
-	// Shared slice aggregation: time windows whose VISIBLE is a multiple
-	// of ADVANCE, with the shareable plan shape.
-	if rt.sharing && p.StreamAgg != nil && w.Kind == sql.WindowTime && w.Visible%w.Advance == 0 {
-		key := fmt.Sprintf("%s@%d", p.StreamAgg.Fingerprint, w.Advance)
-		agg, ok := src.shared[key]
-		if !ok {
-			agg = newSharedAgg(key, p.StreamAgg, w.Advance)
-			src.shared[key] = agg
-		}
-		agg.attach(pipe)
-		pipe.shared = agg
 	}
 	return pipe, nil
 }
 
 // Plan returns the pipeline's compiled plan.
 func (p *Pipeline) Plan() *plan.Plan { return p.plan }
-
-// Shared reports whether this pipeline aggregates via shared slices. A
-// plan-group member reports its host's strategy: that is where its
-// aggregation actually runs.
-func (p *Pipeline) Shared() bool {
-	if p.pg != nil {
-		return p.pg.host.shared != nil
-	}
-	return p.shared != nil
-}
 
 // Incremental reports whether this pipeline maintains its aggregate
 // incrementally and fires from materialized state (delegated to the host
@@ -266,33 +236,12 @@ func (p *Pipeline) PlanShared() (key string, members int, ok bool) {
 	return p.pg.key, int(p.pg.n.Load()), true
 }
 
-// SliceShared reports shared-slice membership for EXPLAIN: the slice key
-// (fingerprint@advance) and how many pipelines feed off that state. A
-// plan-group member reports through its host.
-func (p *Pipeline) SliceShared() (key string, members int, ok bool) {
-	host := p
-	if p.pg != nil {
-		host = p.pg.host
-	}
-	if host.shared == nil {
-		return "", 0, false
-	}
-	p.src.mu.Lock()
-	n := len(host.shared.members)
-	p.src.mu.Unlock()
-	return host.shared.key, n, true
-}
-
 // mode names the fire strategy for trace spans and stats.
 func (p *Pipeline) mode() string {
-	switch {
-	case p.ivm != nil:
+	if p.ivm != nil {
 		return "incremental"
-	case p.shared != nil:
-		return "shared"
-	default:
-		return "reexec"
 	}
+	return "reexec"
 }
 
 // ResumeAfter suppresses window closes at or before ts; used by recovery
@@ -364,9 +313,7 @@ func (p *Pipeline) push(row types.Row, ts int64) error {
 		if p.ivm != nil {
 			return p.ivm.Insert(row, ts)
 		}
-		if p.shared == nil {
-			p.pending = append(p.pending, tsRow{ts, row})
-		}
+		p.pending = append(p.pending, tsRow{ts, row})
 		return nil
 	case sql.WindowRows:
 		p.rowBuf = append(p.rowBuf, tsRow{ts, row})
@@ -425,6 +372,16 @@ func (p *Pipeline) advanceTo(ts int64) error {
 	return nil
 }
 
+// floorDiv is integer division rounding toward negative infinity, so
+// pre-epoch timestamps slice correctly.
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if (a%b != 0) && ((a < 0) != (b < 0)) {
+		q--
+	}
+	return q
+}
+
 // alignUp returns the smallest multiple of ADVANCE that is >= ts.
 func (p *Pipeline) alignUp(ts int64) int64 {
 	adv := p.win.Advance
@@ -452,18 +409,11 @@ func (p *Pipeline) fireTime(c int64) error {
 		if p.ivmTouched != nil {
 			p.ivmTouched.Add(int64(touched))
 		}
-		if err := p.runPost(c, aggRows, true); err != nil {
+		if err := p.runPost(c, aggRows); err != nil {
 			return err
 		}
 		// Retract the slice that just left the window.
 		return p.ivm.Expire(c + p.win.Advance - p.win.Visible)
-	}
-	if p.shared != nil {
-		aggRows, err := p.shared.windowRows(c, p.win.Visible)
-		if err != nil {
-			return err
-		}
-		return p.runPost(c, aggRows, false)
 	}
 	lo := c - p.win.Visible
 	rb := getRowsBlock(len(p.pending))
@@ -543,10 +493,10 @@ func (p *Pipeline) run(c int64, rows []types.Row) error {
 	return p.fire(c, func() exec.Operator { return p.plan.Build(plan.Input{WindowRows: rows}) })
 }
 
-// runPost executes only the post-aggregation stage over merged shared
-// slice results.
-func (p *Pipeline) runPost(c int64, aggRows []types.Row, presorted bool) error {
-	return p.fire(c, func() exec.Operator { return p.plan.StreamAgg.PostBuild(aggRows, presorted) })
+// runPost executes only the post-aggregation stage over the aggregate
+// rows an incremental state materialized.
+func (p *Pipeline) runPost(c int64, aggRows []types.Row) error {
+	return p.fire(c, func() exec.Operator { return p.plan.StreamAgg.PostBuild(aggRows) })
 }
 
 // fire evaluates one window close and delivers the result to the sink,

@@ -15,9 +15,9 @@ import (
 // canonicalization — or subsumed: same stream, window and slice
 // fingerprint with a per-subscriber residual filter/projection — register
 // as subscribers of ONE shared host pipeline instead of spawning their
-// own. The host owns the window state (incremental IVM state when the
-// plan is delta-eligible, shared slice partials otherwise) and, at each
-// window close, computes the merged aggregate rows once; subscribers are
+// own. The host owns the window state (an incremental IVM state: the group
+// shape is exactly the delta-eligible shape) and, at each window close,
+// materializes the aggregate rows once; subscribers are
 // grouped by their post-stage key (residual filters, HAVING, projection,
 // ORDER BY, LIMIT) and each distinct post stage runs once, its output
 // delivered to every subscriber in that set. 10k identical dashboards
@@ -59,7 +59,7 @@ type setOut struct {
 
 // planGroupKey identifies one shared pipeline: slice fingerprint plus the
 // exact window geometry (members share window state, so the window must
-// match exactly — unlike slice sharing, which only requires ADVANCE).
+// match exactly).
 func planGroupKey(fp string, advance, visible int64) string {
 	return fmt.Sprintf("%s@%d/%d", fp, advance, visible)
 }
@@ -112,30 +112,21 @@ func (g *planGroup) clearMembers() []*Pipeline {
 	return ms
 }
 
-// fireGroup is the host's window close: compute the merged aggregate rows
-// once from the host's state, then fan the post stages out to members.
+// fireGroup is the host's window close: materialize the aggregate rows
+// once from the host's incremental state, then fan the post stages out to
+// members.
 func (p *Pipeline) fireGroup(g *planGroup, c int64) error {
-	if p.ivm != nil {
-		aggRows, touched, err := p.ivm.Fire()
-		if err != nil {
-			return err
-		}
-		if p.ivmTouched != nil {
-			p.ivmTouched.Add(int64(touched))
-		}
-		if err := g.fanout(p, c, aggRows, true); err != nil {
-			return err
-		}
-		return p.ivm.Expire(c + p.win.Advance - p.win.Visible)
+	aggRows, touched, err := p.ivm.Fire()
+	if err != nil {
+		return err
 	}
-	if p.shared != nil {
-		aggRows, err := p.shared.windowRows(c, p.win.Visible)
-		if err != nil {
-			return err
-		}
-		return g.fanout(p, c, aggRows, false)
+	if p.ivmTouched != nil {
+		p.ivmTouched.Add(int64(touched))
 	}
-	return fmt.Errorf("stream: plan-group host has no shared window state")
+	if err := g.fanout(p, c, aggRows); err != nil {
+		return err
+	}
+	return p.ivm.Expire(c + p.win.Advance - p.win.Visible)
 }
 
 // fanout runs one post stage per distinct PostKey over the host's merged
@@ -145,7 +136,7 @@ func (p *Pipeline) fireGroup(g *planGroup, c int64) error {
 // its peers — and the source sweeps it out on the next producer call.
 // Trace spans and the fire histogram are recorded once per host fire
 // (member count is a fan-out width, not extra windows).
-func (g *planGroup) fanout(host *Pipeline, c int64, aggRows []types.Row, presorted bool) error {
+func (g *planGroup) fanout(host *Pipeline, c int64, aggRows []types.Row) error {
 	tr := host.rt.tracer
 	var start time.Time
 	if host.fireHist != nil || tr != nil {
@@ -167,7 +158,7 @@ func (g *planGroup) fanout(host *Pipeline, c int64, aggRows []types.Row, presort
 		if len(run) == 0 {
 			continue
 		}
-		out, err := exec.Drain(ctx, run[0].plan.StreamAgg.PostBuild(aggRows, presorted))
+		out, err := exec.Drain(ctx, run[0].plan.StreamAgg.PostBuild(aggRows))
 		if err != nil {
 			err = fmt.Errorf("stream: window close at %d: %w", c, err)
 			for _, m := range run {

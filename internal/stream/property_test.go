@@ -90,7 +90,7 @@ func TestFloorDivQuick(t *testing.T) {
 // TestPruneKeepsExactlyTheLiveExtent: after a close at c, the pipeline's
 // buffer holds only rows a future window can still read.
 func TestPruneKeepsExactlyTheLiveExtent(t *testing.T) {
-	e := newEnv(t, false) // unshared so the raw buffer is in use
+	e := newEnv(t, false) // re-execution, so the raw buffer is in use
 	pipe, _ := e.subscribe(t, `SELECT count(*) FROM url_stream <VISIBLE '3 minutes' ADVANCE '1 minute'>`)
 	for m := 0; m < 10; m++ {
 		e.hit(t, "/x", int64(100+m)*minute+1, "ip")
@@ -107,20 +107,21 @@ func TestPruneKeepsExactlyTheLiveExtent(t *testing.T) {
 	}
 }
 
-// TestSharedSliceGC: slices older than every member's extent are dropped.
+// TestSharedSliceGC: a shared host's incremental state holds no slice
+// older than the window's extent — at most VISIBLE/ADVANCE live slices.
 func TestSharedSliceGC(t *testing.T) {
 	e := newEnv(t, true)
 	pipe, _ := e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY url`)
-	if !pipe.Shared() {
-		t.Fatal("expected shared path")
+	if !pipe.Incremental() || pipe.pg == nil {
+		t.Fatal("expected a shared incremental host")
 	}
 	// The CQ is a plan-group member; the slice state lives on its host.
 	host := pipe.pg.host
 	for m := 0; m < 30; m++ {
 		e.hit(t, "/x", int64(100+m)*minute+1, "ip")
-	}
-	if got := len(host.shared.slices); got > 5 {
-		t.Fatalf("shared slice map grew to %d entries (GC not working)", got)
+		if got := host.ivm.SlicesN.Load(); got > 2 {
+			t.Fatalf("host state holds %d slices after minute %d, want <= 2 (expiry not working)", got, m)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package stream implements the continuous-query runtime: stream sources,
 // window processing ("windows produce a sequence of tables", paper Fig. 1),
-// derived streams, channels into Active Tables, and shared slice-based
-// aggregation across continuous queries (paper refs [4],[12]).
+// derived streams, channels into Active Tables, and incrementally
+// maintained windowed aggregation shared across continuous queries (paper
+// refs [4],[12]).
 //
 // Execution model: stream time is driven by data (CQTIME values) and by
 // explicit heartbeats. Sources require non-decreasing timestamps; when
@@ -15,7 +16,7 @@
 // streams never contend. Within one source, delivery has two modes. In the
 // default synchronous mode every subscribed pipeline runs on the pushing
 // goroutine in subscription order, which makes whole-engine execution
-// deterministic. With SetParallel, each non-shared pipeline instead gets a
+// deterministic. With SetParallel, each pipeline instead gets a
 // bounded mailbox of micro-batches (blocking backpressure on producers)
 // drained by a work-stealing scheduler: a fixed pool of workers (default
 // GOMAXPROCS, see SetSchedWorkers) with per-worker deques and steal-half
@@ -76,6 +77,10 @@ const (
 	LateClamp
 )
 
+// ErrClosed is returned by pushes, heartbeats, taps and subscriptions
+// after Close.
+var ErrClosed = errors.New("stream: runtime is closed")
+
 // Runtime owns every stream source and continuous query.
 //
 // Locking order: Runtime.mu (registry) is never held while a source mutex
@@ -89,17 +94,14 @@ type Runtime struct {
 	closed  bool
 
 	mgr *txn.Manager
-	// Sharing enables shared slice aggregation across CQs with identical
-	// fingerprints (the paper's "Jellybean" shared processing). It can be
-	// disabled to measure its benefit (experiment E3).
-	sharing bool
 	// ivm enables incremental view maintenance: delta-eligible pipelines
 	// maintain materialized per-group aggregates and fire from state.
 	ivm bool
-	// planShare enables plan-level sharing: CQs with identical (or
-	// subsumed) canonical plans subscribe to one shared host pipeline
-	// instead of spawning their own (see planshare.go). Defaults to the
-	// sharing flag; requires sharing for the host's fallback state.
+	// planShare enables plan-level sharing — the paper's "Jellybean"
+	// shared processing: CQs with identical (or subsumed) canonical plans
+	// subscribe to one shared host pipeline instead of spawning their own
+	// (see planshare.go). Hosts keep incremental state, so it only takes
+	// effect together with ivm.
 	planShare bool
 	// parallel is the per-pipeline mailbox backpressure bound in
 	// micro-batches; 0 keeps the fully synchronous engine.
@@ -141,22 +143,20 @@ type Runtime struct {
 }
 
 // NewRuntime creates a runtime bound to the transaction manager (window
-// consistency takes its snapshots there).
-func NewRuntime(mgr *txn.Manager, sharing bool) *Runtime {
+// consistency takes its snapshots there). Incremental maintenance and plan
+// sharing start off; see SetIVM and SetPlanSharing.
+func NewRuntime(mgr *txn.Manager) *Runtime {
 	return &Runtime{
 		sources:     make(map[string]*source),
 		mgr:         mgr,
-		sharing:     sharing,
-		planShare:   sharing,
 		now:         time.Now,
 		lateDropped: &metrics.Counter{},
 	}
 }
 
-// SetPlanSharing toggles plan-level sharing independently of slice
-// sharing (experiments isolate the two layers). It has no effect when
-// slice sharing is disabled — a group host needs the shared machinery as
-// its fallback window state. Call once, before subscribing.
+// SetPlanSharing toggles plan-level sharing. It has no effect while
+// incremental maintenance is off — a group host's window state is an
+// incremental one. Call once, before subscribing.
 func (r *Runtime) SetPlanSharing(on bool) { r.planShare = on }
 
 // SetMetrics binds the runtime to a metrics registry so stream, pipeline
@@ -218,17 +218,15 @@ func (r *Runtime) SetTracer(t *trace.Tracer) { r.tracer = t }
 // subscribed pipeline whose plan is delta-eligible (plan.DeltaProgram)
 // maintains materialized per-group aggregates — insert deltas per row,
 // retract deltas per expired slice — and fires from state in O(groups)
-// instead of re-executing over O(window rows). Eligible pipelines prefer
-// this over shared slice aggregation. Call once, before subscribing.
+// instead of re-executing over O(window rows). Call once, before
+// subscribing.
 func (r *Runtime) SetIVM(on bool) { r.ivm = on }
 
 // SetParallel switches the runtime into parallel continuous-query mode:
-// every subsequently subscribed non-shared pipeline gets a mailbox fed
-// with micro-batch tasks (bounded at depth on the producer path —
-// blocking backpressure) and is executed by the shared work-stealing
-// worker pool. Pipelines that join a shared slice aggregation keep
-// running synchronously on the producer — the shared state is the point
-// of sharing. Call once, before subscribing.
+// every subsequently subscribed pipeline (a plan-group host counts once
+// for all its members) gets a mailbox fed with micro-batch tasks (bounded
+// at depth on the producer path — blocking backpressure) and is executed
+// by the shared work-stealing worker pool. Call once, before subscribing.
 func (r *Runtime) SetParallel(depth int) {
 	if depth < 1 {
 		depth = 0
@@ -275,7 +273,6 @@ type source struct {
 	pipes   []*Pipeline
 	workers int // number of pipes with a worker goroutine
 	taps    []*Sink
-	shared  map[string]*sharedAgg // key: fingerprint + advance
 
 	// Plan-level sharing. Group hosts live in pipes (they are the ones
 	// fed rows); members live only here, so delivery cost is O(hosts) no
@@ -329,7 +326,6 @@ func (r *Runtime) registerSource(name string, schema types.Schema, cqtimeCol int
 		schema:    schema,
 		cqtimeCol: cqtimeCol,
 		internal:  internal,
-		shared:    make(map[string]*sharedAgg),
 		groups:    make(map[string]*planGroup),
 		rows:      r.reg.Counter(rowsName, rowsHelp, metrics.L("stream", name)),
 	}
@@ -367,11 +363,16 @@ func (r *Runtime) HasSource(name string) bool {
 	return ok
 }
 
-// lookup resolves a source name under the registry read lock.
+// lookup resolves a source name under the registry read lock, refusing
+// with ErrClosed once the runtime is closed.
 func (r *Runtime) lookup(stream string) (*source, error) {
 	r.mu.RLock()
 	src, ok := r.sources[stream]
+	closed := r.closed
 	r.mu.RUnlock()
+	if closed {
+		return nil, ErrClosed
+	}
 	if !ok {
 		return nil, fmt.Errorf("stream: unknown stream %q", stream)
 	}
@@ -393,24 +394,18 @@ func (r *Runtime) snapshotSources() []*source {
 // the pipeline handle. The plan must reference a stream.
 //
 // Subscription-time semantics: a new CQ starts observing from the next
-// arriving event. Its earliest windows may be partial with respect to
-// history — in unshared mode the buffer starts empty; in shared mode the
-// first windows may additionally see slices retained for longer-extent
-// members. Queries needing exact history replay it from an archive table
-// instead (INSERT INTO stream SELECT … ORDER BY ts).
+// arriving event, so its earliest windows may be partial with respect to
+// history (a plan-group member joining a running host sees the host's
+// state, which already covers the current window). Queries needing exact
+// history replay it from an archive table instead (INSERT INTO stream
+// SELECT … ORDER BY ts).
 func (r *Runtime) Subscribe(p *plan.Plan, sink Sink) (*Pipeline, error) {
 	if p.Stream == nil {
 		return nil, fmt.Errorf("stream: plan is not a continuous query")
 	}
-	r.mu.RLock()
-	src, ok := r.sources[p.Stream.Name]
-	closed := r.closed
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("stream: unknown stream %q", p.Stream.Name)
-	}
-	if closed {
-		return nil, fmt.Errorf("stream: runtime is closed")
+	src, err := r.lookup(p.Stream.Name)
+	if err != nil {
+		return nil, err
 	}
 	src.mu.Lock()
 	defer src.mu.Unlock()
@@ -427,7 +422,7 @@ func (r *Runtime) Subscribe(p *plan.Plan, sink Sink) (*Pipeline, error) {
 		src.members = append(src.members, pipe)
 		return pipe, nil
 	}
-	if r.parallel > 0 && pipe.shared == nil {
+	if r.parallel > 0 {
 		pipe.startWorker(r.parallel)
 		src.workers++
 	}
@@ -497,12 +492,6 @@ func (s *source) detachLocked(pipe *Pipeline) {
 				s.workers--
 			}
 			break
-		}
-	}
-	if pipe.shared != nil {
-		pipe.shared.detach(pipe)
-		if len(pipe.shared.members) == 0 {
-			delete(s.shared, pipe.shared.key)
 		}
 	}
 }
@@ -734,9 +723,8 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, explicitTS 
 	}
 	// Base-stream taps archive the raw feed; one call per batch turns
 	// the channel's transaction (and WAL append + fsync) per ROW into
-	// one per BATCH. Taps run before shared members step so a window
-	// firing mid-batch sees the whole batch archived — the ordering
-	// synchronous non-shared pipelines always observed.
+	// one per BATCH. Taps run before synchronous pipelines step so a
+	// window firing mid-batch sees the whole batch archived.
 	if !explicit && s.cqtimeCol >= 0 && len(s.taps) > 0 {
 		rb := getRowsBlock(len(batch))
 		for _, tr := range batch {
@@ -751,31 +739,9 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, explicitTS 
 		}
 		rb.put()
 	}
-	// Shared aggregation members keep exact per-row interleaving with the
-	// shared slice state.
-	if len(s.shared) > 0 {
-		for _, pipe := range s.pipes {
-			if pipe.shared != nil {
-				pipe.noteBatch(tc)
-				if tc.ID != 0 {
-					// Shared members consume the batch row-at-a-time on
-					// this goroutine; the enqueue span is a zero-duration
-					// hand-off marker keeping the chain uniform.
-					r.tracer.Record(trace.Span{Trace: tc.ID, Stage: trace.StageEnqueue,
-						Stream: s.name, Pipe: pipe.id, Start: time.Now().UnixMicro(), Rows: len(batch)})
-				}
-			}
-		}
-		for _, tr := range batch {
-			if err := s.stepSharedLocked(tr); err != nil {
-				return err
-			}
-		}
-	}
-	// Synchronous non-shared pipelines: the whole batch, one pipeline at a
-	// time.
+	// Synchronous pipelines: the whole batch, one pipeline at a time.
 	for _, pipe := range s.pipes {
-		if pipe.mbox != nil || pipe.shared != nil {
+		if pipe.mbox != nil {
 			continue
 		}
 		if tc.ID != 0 {
@@ -819,37 +785,6 @@ func (s *source) fanOutWorkers(r *Runtime, tc trace.Ctx, t task, bounded bool) {
 	}
 }
 
-// stepSharedLocked applies one row to the shared slice aggregations and
-// their member pipelines in the order row-at-a-time delivery used: member
-// closes fire against the slice state before the row is folded in.
-func (s *source) stepSharedLocked(tr tsRow) error {
-	for _, pipe := range s.pipes {
-		if pipe.shared == nil {
-			continue
-		}
-		if err := pipe.advanceTo(tr.ts); err != nil {
-			return s.failLocked(pipe, err)
-		}
-	}
-	for _, agg := range s.shared {
-		agg.advanceTo(tr.ts)
-	}
-	for _, pipe := range s.pipes {
-		if pipe.shared == nil {
-			continue
-		}
-		if err := pipe.push(tr.row, tr.ts); err != nil {
-			return s.failLocked(pipe, err)
-		}
-	}
-	for _, agg := range s.shared {
-		if err := agg.push(tr.row, tr.ts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Advance moves a stream's clock to ts (a heartbeat), closing any windows
 // whose boundary has been reached even if no data arrived.
 func (r *Runtime) Advance(stream string, ts int64) error {
@@ -887,9 +822,6 @@ func (s *source) advanceLocked(r *Runtime, ts int64) error {
 		if err := pipe.advanceTo(ts); err != nil {
 			return s.failLocked(pipe, err)
 		}
-	}
-	for _, agg := range s.shared {
-		agg.advanceTo(ts)
 	}
 	return nil
 }
@@ -970,17 +902,7 @@ func (r *Runtime) emitDerived(tc trace.Ctx, stream string, closeTS int64, rows [
 			ts: closeTS, emRows: len(rows)}, false)
 	}
 	for _, pipe := range src.pipes {
-		if pipe.mbox == nil && pipe.shared != nil {
-			pipe.noteBatch(tc)
-		}
-	}
-	for _, tr := range batch {
-		if err := src.stepSharedLocked(tr); err != nil {
-			return err
-		}
-	}
-	for _, pipe := range src.pipes {
-		if pipe.mbox != nil || pipe.shared != nil {
+		if pipe.mbox != nil {
 			continue
 		}
 		if err := pipe.processBatch(batch, tc); err != nil {
@@ -1074,9 +996,8 @@ func (r *Runtime) flushWorkers() {
 
 // Close drains every pipeline worker, stops them, detaches all pipelines
 // and returns any asynchronous failures that had not yet been surfaced.
-// Producers must have stopped; pushing after Close returns an error for
-// unknown streams only if the source registry was also torn down, so the
-// engine gates Close behind its own writer lock.
+// Producers must have stopped (the engine gates Close behind its own
+// writer lock); pushes and heartbeats after Close return ErrClosed.
 func (r *Runtime) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -1122,38 +1043,29 @@ func (r *Runtime) Close() error {
 	return errors.Join(errs...)
 }
 
-// SharingInfo reports the live sharing state the given plan would join if
-// subscribed now: the plan-group key with its current subscriber count
-// and the slice-sharing key with its member count. Empty keys mean the
-// corresponding layer does not apply (shape ineligible or disabled);
+// SharingInfo reports the live plan group the given plan would join if
+// subscribed now: its key and current subscriber count. An empty key
+// means plan sharing does not apply (shape ineligible or disabled);
 // EXPLAIN renders this without subscribing anything.
-func (r *Runtime) SharingInfo(p *plan.Plan) (groupKey string, subscribers int, sliceKey string, sliceMembers int) {
-	if p.Stream == nil || p.StreamAgg == nil {
-		return "", 0, "", 0
+func (r *Runtime) SharingInfo(p *plan.Plan) (groupKey string, subscribers int) {
+	if !r.planShare || !r.ivm || p.Stream == nil || p.StreamAgg == nil {
+		return "", 0
 	}
 	w := p.Stream.Window
 	if w.Kind != sql.WindowTime || w.Advance <= 0 || w.Visible%w.Advance != 0 {
-		return "", 0, "", 0
+		return "", 0
 	}
 	src, err := r.lookup(p.Stream.Name)
 	if err != nil {
-		return "", 0, "", 0
+		return "", 0
 	}
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	if r.sharing {
-		sliceKey = fmt.Sprintf("%s@%d", p.StreamAgg.Fingerprint, w.Advance)
-		if agg := src.shared[sliceKey]; agg != nil {
-			sliceMembers = len(agg.members)
-		}
-		if r.planShare {
-			groupKey = planGroupKey(p.StreamAgg.Fingerprint, w.Advance, w.Visible)
-			if g := src.groups[groupKey]; g != nil {
-				subscribers = int(g.n.Load())
-			}
-		}
+	groupKey = planGroupKey(p.StreamAgg.Fingerprint, w.Advance, w.Visible)
+	if g := src.groups[groupKey]; g != nil {
+		subscribers = int(g.n.Load())
 	}
-	return groupKey, subscribers, sliceKey, sliceMembers
+	return groupKey, subscribers
 }
 
 // snapshotCtx builds the per-window execution context: a fresh snapshot at
@@ -1172,9 +1084,7 @@ type Stats struct {
 	Sources int
 	// Pipelines counts user-facing continuous queries: plan-group members
 	// and standalone pipelines. Internal group hosts are excluded.
-	Pipelines     int
-	SharedAggs    int
-	SharedMembers int
+	Pipelines int
 	// PlanGroups counts plan-sharing groups (one shared host pipeline
 	// each); PlanSubscribers counts the CQs subscribed to them.
 	PlanGroups      int
@@ -1183,7 +1093,6 @@ type Stats struct {
 	IncrementalPipes int
 	WindowsFired     int64
 	RowsProcessed    int64
-	SliceHitShares   int64
 	LateDropped      int64
 	// Scheduler counters (parallel mode; zero when the work-stealing pool
 	// was never created). SchedWorkers is the pool size, SchedRunnable the
@@ -1211,11 +1120,10 @@ type PipelineStats struct {
 	// QueueDepth is the number of queued micro-batch tasks (parallel
 	// mode); 0 for synchronous pipelines.
 	QueueDepth int
-	Shared     bool
 	// Incremental marks pipelines firing from materialized IVM state.
 	Incremental bool
-	// PlanShared marks plan-group members: Shared/Incremental then name
-	// the host's strategy and RowsSeen mirrors the host's intake.
+	// PlanShared marks plan-group members: Incremental then names the
+	// host's strategy and RowsSeen mirrors the host's intake.
 	PlanShared bool
 }
 
@@ -1232,7 +1140,6 @@ func (p *Pipeline) statsSnapshot() PipelineStats {
 		ps := PipelineStats{
 			Stream:      p.src.name,
 			ID:          p.id,
-			Shared:      g.host.shared != nil,
 			Incremental: g.host.ivm != nil,
 			PlanShared:  true,
 		}
@@ -1243,7 +1150,6 @@ func (p *Pipeline) statsSnapshot() PipelineStats {
 	ps := PipelineStats{
 		Stream:      p.src.name,
 		ID:          p.id,
-		Shared:      p.shared != nil,
 		Incremental: p.ivm != nil,
 	}
 	ps.WindowsFired = p.windowsFired.Value()
@@ -1273,10 +1179,6 @@ func (r *Runtime) Stats() Stats {
 	for _, src := range sources {
 		src.mu.Lock()
 		s.Pipelines += len(src.pipes) - len(src.groups) + len(src.members)
-		s.SharedAggs += len(src.shared)
-		for _, agg := range src.shared {
-			s.SharedMembers += len(agg.members)
-		}
 		s.PlanGroups += len(src.groups)
 		s.PlanSubscribers += len(src.members)
 		pipes := append([]*Pipeline(nil), src.pipes...)

@@ -28,10 +28,15 @@ type env struct {
 	rt  *Runtime
 }
 
-func newEnv(t *testing.T, sharing bool) *env {
+// newEnv builds a runtime over url_stream. incremental turns on IVM and
+// plan sharing together, as the engine's default Config does; false is
+// the re-execution engine (Config.DisableIVM).
+func newEnv(t *testing.T, incremental bool) *env {
 	t.Helper()
-	e := &env{cat: catalog.New(), mgr: txn.NewManager(), rt: NewRuntime(txnMgr(), sharing)}
+	e := &env{cat: catalog.New(), mgr: txn.NewManager(), rt: NewRuntime(txnMgr())}
 	e.rt.mgr = e.mgr
+	e.rt.SetIVM(incremental)
+	e.rt.SetPlanSharing(incremental)
 	if _, err := e.cat.CreateStream("url_stream", types.Schema{
 		{Name: "url", Type: types.TypeString},
 		{Name: "atime", Type: types.TypeTimestamp},
@@ -140,11 +145,11 @@ func TestSlidingWindow(t *testing.T) {
 // TestScalarAggEmptyWindow: scalar aggregates produce a default row even
 // for empty windows, like a snapshot query over an empty table.
 func TestScalarAggEmptyWindow(t *testing.T) {
-	for _, sharing := range []bool{true, false} {
-		e := newEnv(t, sharing)
+	for _, incremental := range []bool{true, false} {
+		e := newEnv(t, incremental)
 		pipe, out := e.subscribe(t, `SELECT count(*), sum(length(url)) FROM url_stream <ADVANCE '1 minute'>`)
-		if sharing != pipe.Shared() {
-			t.Fatalf("sharing=%v but pipe.Shared()=%v", sharing, pipe.Shared())
+		if incremental != pipe.Incremental() {
+			t.Fatalf("incremental=%v but pipe.Incremental()=%v", incremental, pipe.Incremental())
 		}
 		e.rt.Advance("url_stream", 10*minute) // starts the clock
 		e.rt.Advance("url_stream", 12*minute)
@@ -207,8 +212,10 @@ func TestRowWindow(t *testing.T) {
 }
 
 // TestSharedMatchesUnshared is the central sharing property: identical
-// queries, shared vs unshared, over identical random input, produce
-// identical batches.
+// queries, maintained incrementally in a shared plan-group host vs
+// re-executed per window, over identical random input, produce identical
+// batches — including the re-merged kinds (min/max, count(DISTINCT),
+// stddev).
 func TestSharedMatchesUnshared(t *testing.T) {
 	queries := []string{
 		`SELECT url, count(*) FROM url_stream <VISIBLE '3 minutes' ADVANCE '1 minute'> GROUP BY url`,
@@ -237,11 +244,11 @@ func TestSharedMatchesUnshared(t *testing.T) {
 		for mode := 0; mode < 2; mode++ {
 			e := newEnv(t, mode == 0)
 			pipe, out := e.subscribe(t, q)
-			if mode == 0 && !pipe.Shared() {
-				t.Fatalf("query %d: expected shared path", qi)
+			if mode == 0 && (!pipe.Incremental() || pipe.pg == nil) {
+				t.Fatalf("query %d: expected a shared incremental host", qi)
 			}
-			if mode == 1 && pipe.Shared() {
-				t.Fatalf("query %d: sharing disabled but still shared", qi)
+			if mode == 1 && pipe.Incremental() {
+				t.Fatalf("query %d: IVM disabled but still incremental", qi)
 			}
 			for _, ev := range events {
 				if err := e.rt.Push("url_stream", ev); err != nil {
@@ -253,11 +260,11 @@ func TestSharedMatchesUnshared(t *testing.T) {
 		}
 		a, b := flatten(results[0]), flatten(results[1])
 		if strings.Join(a, "\n") != strings.Join(b, "\n") {
-			t.Errorf("query %d: shared and unshared outputs differ\nshared: %d lines\nunshared: %d lines",
+			t.Errorf("query %d: incremental and reexec outputs differ\nincremental: %d lines\nreexec: %d lines",
 				qi, len(a), len(b))
 			for i := 0; i < len(a) && i < len(b); i++ {
 				if a[i] != b[i] {
-					t.Errorf("first diff at %d: shared=%q unshared=%q", i, a[i], b[i])
+					t.Errorf("first diff at %d: incremental=%q reexec=%q", i, a[i], b[i])
 					break
 				}
 			}
@@ -265,8 +272,8 @@ func TestSharedMatchesUnshared(t *testing.T) {
 	}
 }
 
-// TestSharingDeduplicatesWork: k identical CQs share one slice
-// aggregation.
+// TestSharingDeduplicatesWork: k identical CQs share one incremental
+// plan-group host.
 func TestSharingDeduplicatesWork(t *testing.T) {
 	e := newEnv(t, true)
 	const k = 5
@@ -275,16 +282,13 @@ func TestSharingDeduplicatesWork(t *testing.T) {
 		_, out := e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '5 minutes' ADVANCE '1 minute'> GROUP BY url`)
 		outs = append(outs, out)
 	}
-	// Plan-level sharing folds the k identical CQs into ONE group host;
-	// that host is the sole member of the slice aggregation.
+	// Plan-level sharing folds the k identical CQs into ONE group host,
+	// which holds the only incremental state.
 	st := e.rt.Stats()
 	if st.PlanGroups != 1 || st.PlanSubscribers != k {
 		t.Fatalf("stats: %+v", st)
 	}
-	if st.SharedAggs != 1 || st.SharedMembers != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if st.Pipelines != k {
+	if st.Pipelines != k || st.IncrementalPipes != k {
 		t.Fatalf("stats: %+v", st)
 	}
 	e.hit(t, "/a", 10*minute, "x")
@@ -294,12 +298,10 @@ func TestSharingDeduplicatesWork(t *testing.T) {
 			t.Fatalf("subscriber %d: %+v", i, *out)
 		}
 	}
-	// Different window extents still share slices when ADVANCE matches:
-	// the new extent gets its own plan group whose host joins the SAME
-	// slice aggregation — the two sharing layers compose.
+	// A different window extent gets its own plan group and state: hosts
+	// share state only across an exact window geometry.
 	_, _ = e.subscribe(t, `SELECT url, count(*) FROM url_stream <VISIBLE '2 minutes' ADVANCE '1 minute'> GROUP BY url`)
-	if st := e.rt.Stats(); st.SharedAggs != 1 || st.SharedMembers != 2 ||
-		st.PlanGroups != 2 || st.PlanSubscribers != k+1 {
+	if st := e.rt.Stats(); st.PlanGroups != 2 || st.PlanSubscribers != k+1 {
 		t.Fatalf("stats after mixed-visible subscribe: %+v", st)
 	}
 }
@@ -313,7 +315,7 @@ func TestUnsubscribe(t *testing.T) {
 	if len(*out) != 0 {
 		t.Fatalf("unsubscribed pipeline fired: %v", *out)
 	}
-	if st := e.rt.Stats(); st.Pipelines != 0 || st.SharedAggs != 0 {
+	if st := e.rt.Stats(); st.Pipelines != 0 || st.PlanGroups != 0 {
 		t.Fatalf("stats after unsubscribe: %+v", st)
 	}
 }

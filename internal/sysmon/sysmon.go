@@ -302,11 +302,8 @@ func pipelineRows(st stream.Stats) []types.Row {
 	rows := make([]types.Row, 0, len(st.PerPipeline))
 	for _, ps := range st.PerPipeline {
 		mode := "reexec"
-		switch {
-		case ps.Incremental:
+		if ps.Incremental {
 			mode = "incremental"
-		case ps.Shared:
-			mode = "shared"
 		}
 		if ps.PlanShared {
 			mode += "+plan"

@@ -43,10 +43,10 @@ func TestIVMModeSelection(t *testing.T) {
 			FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> GROUP BY url`, true},
 		{`SELECT count(*) FROM s <VISIBLE '30 seconds' ADVANCE '30 seconds'>`, true},
 		{`SELECT sum(v) FROM s <VISIBLE '1 minute' ADVANCE '20 seconds'> WHERE url = '/a'`, true},
-		// count(DISTINCT …) has no retract form.
-		{`SELECT url, count(distinct v) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> GROUP BY url`, false},
-		// stddev has no delta form.
-		{`SELECT stddev(v) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'>`, false},
+		// count(DISTINCT …) has no retract form: slice partials re-merge.
+		{`SELECT url, count(distinct v) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'> GROUP BY url`, true},
+		// stddev has no retract form either: slice partials re-merge.
+		{`SELECT stddev(v) FROM s <VISIBLE '1 minute' ADVANCE '10 seconds'>`, true},
 		// Row windows re-execute.
 		{`SELECT url, count(*) FROM s <VISIBLE 100 ROWS ADVANCE 10 ROWS> GROUP BY url`, false},
 		// VISIBLE not a multiple of ADVANCE.
@@ -76,8 +76,8 @@ func TestIVMModeSelection(t *testing.T) {
 		cq.Close()
 	}
 
-	// DisableIVM restores the old paths and EXPLAIN says so.
-	off := openMemMode(t, "shared")
+	// DisableIVM restores re-execution and EXPLAIN says so.
+	off := openMemMode(t, "reexec")
 	mustExec(t, off, `CREATE STREAM s (url varchar, at timestamp CQTIME USER, v bigint)`)
 	cq, err := off.Subscribe(cases[0].q)
 	if err != nil {
@@ -87,9 +87,6 @@ func TestIVMModeSelection(t *testing.T) {
 	if cq.Incremental {
 		t.Error("DisableIVM engine still reports Incremental")
 	}
-	if !cq.SharedAggregation {
-		t.Error("DisableIVM engine should fall back to shared slices for this shape")
-	}
 	ex := mustExec(t, off, "EXPLAIN "+cases[0].q)
 	plan := strings.Join(rowStrings(ex.Rows), "\n")
 	if !strings.Contains(plan, "mode: reexec (incremental maintenance disabled)") {
@@ -98,9 +95,9 @@ func TestIVMModeSelection(t *testing.T) {
 }
 
 // ivmWorkloadQueries is the CQ set the equivalence tests run: every delta
-// kind, NULL group keys, NULL aggregate inputs, a filter, a scalar
-// aggregate (fires defaults over empty windows), and HAVING above the
-// delta-maintained state.
+// kind (subtracted and re-merged), NULL group keys, NULL aggregate inputs,
+// a filter, a scalar aggregate (fires defaults over empty windows), and
+// HAVING above the delta-maintained state.
 var ivmWorkloadQueries = []string{
 	`SELECT url, count(*), count(v), sum(v), avg(v), min(v), max(v)
 		FROM s <VISIBLE '60 seconds' ADVANCE '10 seconds'> GROUP BY url`,
@@ -108,6 +105,8 @@ var ivmWorkloadQueries = []string{
 	`SELECT url, sum(v) FROM s <VISIBLE '40 seconds' ADVANCE '20 seconds'>
 		WHERE v % 3 = 0 GROUP BY url HAVING count(*) > 1`,
 	`SELECT url, min(f), max(f), sum(f) FROM s <VISIBLE '50 seconds' ADVANCE '10 seconds'> GROUP BY url`,
+	`SELECT url, stddev(v), variance(f), first(v), last(v), count(DISTINCT v), first(DISTINCT f)
+		FROM s <VISIBLE '40 seconds' ADVANCE '10 seconds'> GROUP BY url`,
 }
 
 // ivmRandomRow draws a row with NULLable group key, NULLable bigint and a
@@ -175,7 +174,7 @@ func runIVMWorkload(t *testing.T, e *Engine, seed int64, parallelFlush bool) [][
 // TestIVMEquivalenceReexec is the incremental pipeline against its
 // re-exec twin: identical random batches and advances must produce
 // byte-identical fire transcripts — including NULL groups, empty-window
-// fires and min/max retractions.
+// fires and re-merged (min/max, stddev, first/last, DISTINCT) expiries.
 func TestIVMEquivalenceReexec(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		inc := openMemMode(t, "incremental")

@@ -1,6 +1,7 @@
 package streamrel
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -11,10 +12,10 @@ func TestExplainVariants(t *testing.T) {
 	mustExec(t, e, `CREATE STREAM s (v bigint, at timestamp CQTIME USER)`)
 	mustExec(t, e, `CREATE TABLE d (k bigint)`)
 
-	// A CQ with a join cannot take the shared path; EXPLAIN says so.
+	// A CQ with a join cannot take the incremental path; EXPLAIN says why.
 	res := mustExec(t, e, `EXPLAIN SELECT count(*) FROM s <ADVANCE '1 minute'> x JOIN d ON x.v = d.k`)
 	out := strings.Join(rowStrings(res.Rows), "\n")
-	if !strings.Contains(out, "not applicable") {
+	if !strings.Contains(out, "mode: reexec (plan is not a filter/group-by aggregate directly over the stream)") {
 		t.Fatalf("explain join CQ:\n%s", out)
 	}
 	// cq_close column position is reported.
@@ -51,6 +52,37 @@ func TestCloseIdempotentAndStopsWork(t *testing.T) {
 	// Durable writes after close fail (WAL is closed).
 	if _, err := e.Exec(`INSERT INTO t VALUES (1)`); err == nil {
 		t.Fatal("write after close should fail")
+	}
+}
+
+// TestStreamWritesAfterCloseError: appends, traced appends, heartbeats and
+// subscriptions after Close fail with ErrClosed instead of silently doing
+// nothing.
+func TestStreamWritesAfterCloseError(t *testing.T) {
+	e, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, `CREATE STREAM s (v bigint, at timestamp CQTIME USER)`)
+	at := MustTimestamp("2009-01-04 00:00:00")
+	if err := e.Append("s", Row{Int(1), Timestamp(at)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	row := Row{Int(2), Timestamp(at.Add(time.Second))}
+	if err := e.Append("s", row); !errors.Is(err, ErrClosed) {
+		t.Errorf("Append after Close = %v, want ErrClosed", err)
+	}
+	if err := e.AppendTraced(7, "s", row); !errors.Is(err, ErrClosed) {
+		t.Errorf("AppendTraced after Close = %v, want ErrClosed", err)
+	}
+	if err := e.AdvanceTime("s", at.Add(time.Minute)); !errors.Is(err, ErrClosed) {
+		t.Errorf("AdvanceTime after Close = %v, want ErrClosed", err)
+	}
+	if _, err := e.Subscribe(`SELECT count(*) FROM s <ADVANCE '1 minute'>`); !errors.Is(err, ErrClosed) {
+		t.Errorf("Subscribe after Close = %v, want ErrClosed", err)
 	}
 }
 

@@ -110,24 +110,23 @@ type Config struct {
 	// fsync (see internal/wal). 0 writes immediately; concurrency alone
 	// still forms groups. Only meaningful with SyncWAL.
 	GroupCommitMaxDelay time.Duration
-	// DisableSharing turns off shared slice aggregation across continuous
-	// queries; experiment E3 measures its benefit.
-	DisableSharing bool
 	// DisableIVM turns off incremental view maintenance: delta-eligible
-	// continuous queries then fall back to shared slices or re-execution.
-	// Experiment E14 measures the incremental path's benefit.
+	// continuous queries then re-execute their plan over the window's rows
+	// at every close. Plan sharing is off with it, because shared hosts
+	// keep incremental state. Experiment E14 measures the incremental
+	// path's benefit.
 	DisableIVM bool
-	// DisablePlanSharing turns off plan-level sharing: continuous queries
-	// with identical (or subsumed) canonical plans then each build their
-	// own window state instead of subscribing to one shared host pipeline.
-	// Slice sharing (DisableSharing) is unaffected. Experiment E15
-	// measures the benefit at high CQ counts.
+	// DisablePlanSharing turns off plan-level sharing (the paper's shared
+	// "Jellybean" processing): continuous queries with identical (or
+	// subsumed) canonical plans then each build their own window state
+	// instead of subscribing to one shared host pipeline. Experiments E3
+	// and E15 measure the benefit.
 	DisablePlanSharing bool
 	// LateRows chooses what happens to out-of-order stream input:
 	// reject (default), drop, or clamp to the high-water mark.
 	LateRows LateRowPolicy
-	// ParallelCQ > 0 gives each non-shared continuous query a bounded
-	// mailbox of that many micro-batches (blocking backpressure on
+	// ParallelCQ > 0 gives each continuous query (or plan-sharing host) a
+	// bounded mailbox of that many micro-batches (blocking backpressure on
 	// producers) drained by a work-stealing scheduler pool (SchedWorkers),
 	// so fan-out to N CQs scales across cores without N goroutines.
 	// Per-CQ results are identical to the default synchronous mode; see
@@ -246,9 +245,9 @@ func Open(cfg Config) (*Engine, error) {
 	if e.reg == nil {
 		e.reg = metrics.NewRegistry()
 	}
-	e.rt = stream.NewRuntime(e.mgr, !cfg.DisableSharing)
+	e.rt = stream.NewRuntime(e.mgr)
 	e.rt.SetIVM(!cfg.DisableIVM)
-	e.rt.SetPlanSharing(!cfg.DisableSharing && !cfg.DisablePlanSharing)
+	e.rt.SetPlanSharing(!cfg.DisableIVM && !cfg.DisablePlanSharing)
 	e.rt.SetMetrics(e.reg)
 	e.rt.Late = stream.LatePolicy(cfg.LateRows)
 	e.rt.SetParallel(cfg.ParallelCQ)
@@ -330,10 +329,15 @@ func (e *Engine) Traces() []TraceSpan { return e.tracer.Snapshot() }
 func (e *Engine) walPath() string        { return filepath.Join(e.cfg.Dir, "wal.log") }
 func (e *Engine) checkpointPath() string { return filepath.Join(e.cfg.Dir, "checkpoint") }
 
+// ErrClosed is returned by Append, AppendTraced, AdvanceTime and Subscribe
+// once the engine is closed.
+var ErrClosed = stream.ErrClosed
+
 // Close shuts the engine down: pipeline workers drain and stop (their
 // channel writes still reach the WAL), then the log closes. In-flight
-// continuous queries stop receiving batches. Close returns any
-// asynchronous CQ failure that had not yet surfaced.
+// continuous queries stop receiving batches, and later stream writes fail
+// with ErrClosed. Close returns any asynchronous CQ failure that had not
+// yet surfaced.
 func (e *Engine) Close() error {
 	// Stop the telemetry ticker before taking the engine lock: its ticks
 	// push into the stream runtime under the read lock.

@@ -108,7 +108,7 @@ func TestTraceChainSync(t *testing.T) {
 // TestTraceChainParallel checks the worker-pickup hop appears when
 // pipelines run on their own goroutines.
 func TestTraceChainParallel(t *testing.T) {
-	e := openTrace(t, Config{TraceSampleEvery: 1, ParallelCQ: 2, DisableSharing: true})
+	e := openTrace(t, Config{TraceSampleEvery: 1, ParallelCQ: 2, DisablePlanSharing: true})
 	defer e.Close()
 	driveOneWindow(t, e, 3)
 
@@ -207,7 +207,7 @@ func TestTracingDisabled(t *testing.T) {
 // TestTraceConcurrentReads races concurrent appends against Traces()
 // snapshots (run under -race).
 func TestTraceConcurrentReads(t *testing.T) {
-	e := openTrace(t, Config{TraceSampleEvery: 1, ParallelCQ: 2, DisableSharing: true,
+	e := openTrace(t, Config{TraceSampleEvery: 1, ParallelCQ: 2, DisablePlanSharing: true,
 		LateRows: LateClamp, TraceRingSpans: 256})
 	defer e.Close()
 	mustExec(t, e, `CREATE STREAM s (v bigint, at timestamp CQTIME USER)`)
