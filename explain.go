@@ -2,6 +2,7 @@ package streamrel
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -53,7 +54,7 @@ func (e *Engine) execExplain(s *sql.Explain) (*Result, error) {
 		}
 		if e.cfg.ParallelCQ > 0 {
 			lines = append(lines, fmt.Sprintf("  sched: stealing (%d workers, mailbox bound %d)",
-				e.rt.SchedWorkers(), e.cfg.ParallelCQ))
+				runtime.GOMAXPROCS(0), e.cfg.ParallelCQ))
 		} else {
 			lines = append(lines, "  sched: synchronous (producer-driven)")
 		}

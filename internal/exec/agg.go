@@ -10,11 +10,8 @@ import (
 // HashAgg implements grouped aggregation. Its output rows are the group
 // key values followed by one column per aggregate, which is the layout
 // the planner's post-aggregation expressions are rewritten against.
-//
-// HashAgg is also the slice-level workhorse of shared window aggregation:
-// the stream runtime aggregates each slice with the same AggSpecs and
-// merges the per-slice accumulators at window close (see
-// internal/stream/sharing.go).
+// Incrementally maintained continuous queries keep the same layout in
+// per-group delta state instead (internal/ivm).
 type HashAgg struct {
 	Child   Operator
 	GroupBy []*expr.Scalar

@@ -164,7 +164,7 @@ func (s *State) Insert(row types.Row, ts int64) error {
 	}
 	k := s.keyScratch.Key()
 
-	start := floorDiv(ts, s.advance) * s.advance
+	start := FloorDiv(ts, s.advance) * s.advance
 	sl, ok := s.slices[start]
 	if !ok {
 		sl = &slice{start: start, groups: make(map[string]*sliceGroup)}
@@ -362,9 +362,9 @@ func (s *State) Expire(keepFrom int64) error {
 	return nil
 }
 
-// floorDiv is integer division rounding toward negative infinity, so
-// pre-epoch timestamps slice correctly (same as the stream runtime's).
-func floorDiv(a, b int64) int64 {
+// FloorDiv is integer division rounding toward negative infinity, so
+// pre-epoch timestamps slice (and window boundaries align) correctly.
+func FloorDiv(a, b int64) int64 {
 	q := a / b
 	if (a%b != 0) && ((a < 0) != (b < 0)) {
 		q--

@@ -75,8 +75,8 @@ type Pipeline struct {
 	tc           trace.Ctx
 	oldestIngest int64
 
-	// Worker execution (parallel mode only; mbox == nil means the
-	// pipeline runs synchronously on the producer). The work-stealing
+	// Worker execution (parallel mode only; without a mailbox every
+	// delivery is applied inline on the producer). The work-stealing
 	// pool runs at most one worker inside the mailbox at a time and
 	// applies tasks in queue order, so per-pipeline results match the
 	// synchronous engine exactly.
@@ -85,7 +85,7 @@ type Pipeline struct {
 	enqueued atomic.Int64
 	// applied counts non-flush tasks the worker has fully processed;
 	// enqueued == applied with an empty queue means the worker is idle,
-	// which lets the producer bypass the queue (soleIdleWorker).
+	// which lets the producer bypass the queue (source.inline).
 	applied atomic.Int64
 	failed  atomic.Bool // failErr is written before the Store, read after the Load
 	failErr error
@@ -178,7 +178,6 @@ func buildPipeline(rt *Runtime, src *source, p *plan.Plan, sink Sink, allowGroup
 			src.groups[key] = g
 			if rt.parallel > 0 {
 				host.startWorker(rt.parallel)
-				src.workers++
 			}
 			src.pipes = append(src.pipes, host)
 		}
@@ -372,20 +371,10 @@ func (p *Pipeline) advanceTo(ts int64) error {
 	return nil
 }
 
-// floorDiv is integer division rounding toward negative infinity, so
-// pre-epoch timestamps slice correctly.
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
-		q--
-	}
-	return q
-}
-
 // alignUp returns the smallest multiple of ADVANCE that is >= ts.
 func (p *Pipeline) alignUp(ts int64) int64 {
 	adv := p.win.Advance
-	q := floorDiv(ts, adv)
+	q := ivm.FloorDiv(ts, adv)
 	if q*adv < ts {
 		q++
 	}

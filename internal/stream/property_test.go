@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"streamrel/internal/catalog"
+	"streamrel/internal/ivm"
 	"streamrel/internal/trace"
 	"streamrel/internal/types"
 )
@@ -75,11 +76,11 @@ func TestSlidingMultiplicityProperty(t *testing.T) {
 	}
 }
 
-// TestFloorDivQuick: floorDiv is real floored division for any inputs.
+// TestFloorDivQuick: ivm.FloorDiv is real floored division for any inputs.
 func TestFloorDivQuick(t *testing.T) {
 	f := func(a int64, b int64) bool {
 		b = b%1000 + 1001 // positive divisor
-		q := floorDiv(a, b)
+		q := ivm.FloorDiv(a, b)
 		return q*b <= a && (q+1)*b > a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

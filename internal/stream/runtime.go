@@ -13,18 +13,22 @@
 //
 // Concurrency: the runtime keeps a read-mostly source registry behind an
 // RWMutex, and each source carries its own mutex, so pushes to distinct
-// streams never contend. Within one source, delivery has two modes. In the
-// default synchronous mode every subscribed pipeline runs on the pushing
-// goroutine in subscription order, which makes whole-engine execution
-// deterministic. With SetParallel, each pipeline instead gets a
-// bounded mailbox of micro-batches (blocking backpressure on producers)
-// drained by a work-stealing scheduler: a fixed pool of workers (default
-// GOMAXPROCS, see SetSchedWorkers) with per-worker deques and steal-half
-// rebalancing, so 10k mostly idle pipelines cost 10k mailboxes, not 10k
-// goroutines. A mailbox is executed by at most one worker at a time and
-// rows for a given pipeline are still applied in arrival order, so per-CQ
-// results are identical to the synchronous mode, while fan-out to N
-// continuous queries uses up to GOMAXPROCS cores instead of one.
+// streams never contend. Within one source, every push, heartbeat and
+// derived emission takes one delivery path, and a single per-source
+// decision (source.inline) says whether the producer applies it to the
+// pipelines itself or enqueues it. Without SetParallel there is no
+// scheduler and every delivery is inline: each pipeline runs on the
+// pushing goroutine in subscription order, which makes whole-engine
+// execution deterministic. With SetParallel, each pipeline gets a bounded
+// mailbox of micro-batches (blocking backpressure on producers) drained
+// by a work-stealing scheduler: a GOMAXPROCS-sized pool of workers with
+// per-worker deques and steal-half rebalancing, so 10k mostly idle
+// pipelines cost 10k mailboxes, not 10k goroutines. A source whose single
+// subscriber is idle still delivers inline, skipping the queue hand-off.
+// A mailbox is executed by at most one worker at a time and rows for a
+// given pipeline are still applied in arrival order, so per-CQ results
+// are identical to the synchronous mode, while fan-out to N continuous
+// queries uses up to GOMAXPROCS cores instead of one.
 //
 // On top of delivery, plan-level sharing (SetPlanSharing) folds continuous
 // queries whose canonical plans are identical — or subsumed, differing
@@ -36,7 +40,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,14 +107,13 @@ type Runtime struct {
 	// effect together with ivm.
 	planShare bool
 	// parallel is the per-pipeline mailbox backpressure bound in
-	// micro-batches; 0 keeps the fully synchronous engine.
+	// micro-batches; 0 keeps the fully synchronous engine. The
+	// GOMAXPROCS-sized pool is created lazily on the first worker-mode
+	// subscribe.
 	parallel int
-	// schedWorkers sizes the work-stealing pool (0 = GOMAXPROCS); the
-	// pool itself is created lazily on the first worker-mode subscribe.
-	schedWorkers int
-	schedMu      sync.Mutex
-	sched        *scheduler
-	now          func() time.Time
+	schedMu  sync.Mutex
+	sched    *scheduler
+	now      func() time.Time
 	// Late is the disorder policy applied to all sources. Set before
 	// pushing begins.
 	Late LatePolicy
@@ -234,30 +236,15 @@ func (r *Runtime) SetParallel(depth int) {
 	r.parallel = depth
 }
 
-// SetSchedWorkers sizes the work-stealing pool used in parallel mode; 0
-// (the default) means GOMAXPROCS. Call once, before subscribing.
-func (r *Runtime) SetSchedWorkers(n int) { r.schedWorkers = n }
-
-// SchedWorkers reports the effective pool size for EXPLAIN and stats.
-func (r *Runtime) SchedWorkers() int {
-	if r.schedWorkers > 0 {
-		return r.schedWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // ensureSched creates the work-stealing pool on the first worker-mode
-// subscribe (by then SetMetrics and SetSchedWorkers have run).
+// subscribe (by then SetMetrics has run).
 func (r *Runtime) ensureSched() {
 	r.schedMu.Lock()
 	if r.sched == nil {
-		r.sched = newScheduler(r.schedWorkers, r.reg)
+		r.sched = newScheduler(r.reg)
 	}
 	r.schedMu.Unlock()
 }
-
-// Parallel reports whether parallel continuous-query mode is enabled.
-func (r *Runtime) Parallel() bool { return r.parallel > 0 }
 
 // source is the fan-out point for one stream (base or derived). Its mutex
 // serializes pushes, heartbeats, subscription changes and tap changes for
@@ -267,12 +254,14 @@ type source struct {
 	schema    types.Schema
 	cqtimeCol int // -1: timestamps supplied by the pusher (derived streams)
 
-	mu      sync.Mutex
-	lastTS  int64
-	hasTS   bool
-	pipes   []*Pipeline
-	workers int // number of pipes with a worker goroutine
-	taps    []*Sink
+	mu     sync.Mutex
+	lastTS int64
+	hasTS  bool
+	// pipes are the pipelines delivery feeds: all with mailboxes
+	// (SetParallel) or all without, because the mode is fixed before the
+	// first subscribe.
+	pipes []*Pipeline
+	taps  []*Sink
 
 	// Plan-level sharing. Group hosts live in pipes (they are the ones
 	// fed rows); members live only here, so delivery cost is O(hosts) no
@@ -342,17 +331,23 @@ func (r *Runtime) DropSource(name string) {
 	if src == nil {
 		return
 	}
-	src.mu.Lock()
-	pipes := src.pipes
-	pipes = append(pipes, src.members...)
-	pipes = append(pipes, src.retired...)
-	src.pipes, src.workers = nil, 0
-	src.members, src.retired = nil, nil
-	src.groups = make(map[string]*planGroup)
-	src.mu.Unlock()
-	for _, pipe := range pipes {
+	for _, pipe := range src.detachAll() {
 		pipe.stop()
 	}
+}
+
+// detachAll empties every fan-out list — pipelines, plan-group members
+// and retired hosts — and returns what it removed for the caller to stop
+// once s.mu is released.
+func (s *source) detachAll() []*Pipeline {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pipes := append([]*Pipeline(nil), s.pipes...)
+	pipes = append(pipes, s.members...)
+	pipes = append(pipes, s.retired...)
+	s.pipes, s.members, s.retired = nil, nil, nil
+	s.groups = make(map[string]*planGroup)
+	return pipes
 }
 
 // HasSource reports whether name is a registered stream.
@@ -424,7 +419,6 @@ func (r *Runtime) Subscribe(p *plan.Plan, sink Sink) (*Pipeline, error) {
 	}
 	if r.parallel > 0 {
 		pipe.startWorker(r.parallel)
-		src.workers++
 	}
 	src.pipes = append(src.pipes, pipe)
 	return pipe, nil
@@ -488,9 +482,6 @@ func (s *source) detachLocked(pipe *Pipeline) {
 	for i, p := range s.pipes {
 		if p == pipe {
 			s.pipes = append(s.pipes[:i], s.pipes[i+1:]...)
-			if pipe.mbox != nil {
-				s.workers--
-			}
 			break
 		}
 	}
@@ -504,7 +495,7 @@ func (s *source) sweepFailedLocked() error {
 	var errs []error
 	for i := 0; i < len(s.pipes); {
 		p := s.pipes[i]
-		if p.mbox != nil && p.failed.Load() {
+		if p.failed.Load() {
 			s.detachLocked(p)
 			p.stop() // failed workers only drain, so this returns promptly
 			if err := p.takeErr(); err != nil {
@@ -533,10 +524,13 @@ func (s *source) sweepFailedLocked() error {
 	return errors.Join(errs...)
 }
 
-// failLocked detaches a synchronously failing pipeline and propagates the
-// error to the producer. Callers hold s.mu.
+// failLocked detaches a pipeline that failed while the producer applied a
+// delivery inline, stops it — detaching its gauges and, in parallel mode,
+// its idle mailbox — and propagates the error to the producer. Callers
+// hold s.mu.
 func (s *source) failLocked(pipe *Pipeline, err error) error {
 	s.detachLocked(pipe)
+	pipe.stop()
 	return err
 }
 
@@ -551,7 +545,7 @@ func (r *Runtime) Push(stream string, row types.Row) error {
 	one := [1]types.Row{row}
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	return src.deliver(r, trace.Ctx{}, one[:], 0, false)
+	return src.deliver(r, trace.Ctx{}, one[:], nil)
 }
 
 // PushBatch appends rows in order. Per-batch invariants — source
@@ -560,30 +554,39 @@ func (r *Runtime) Push(stream string, row types.Row) error {
 // before anything is delivered; window advance and delivery then happen
 // once per batch per pipeline instead of once per row.
 func (r *Runtime) PushBatch(stream string, rows []types.Row) error {
-	return r.PushBatchCtx(trace.Ctx{}, stream, rows)
+	return r.PushBatchCtx(trace.Ctx{}, stream, rows, nil)
 }
 
 // PushBatchCtx is PushBatch with an externally assigned trace context:
 // a replica re-injects the primary's trace ID here so the local apply
 // hops join the primary's span chain. A zero Ctx lets the runtime's own
 // tracer make the sampling decision.
-func (r *Runtime) PushBatchCtx(tc trace.Ctx, stream string, rows []types.Row) error {
+//
+// A non-nil clock marks a CQTIME SYSTEM append: every row's CQTIME
+// column is overwritten with its arrival time, read from clock under the
+// source lock and clamped to the stream's high-water mark, so concurrent
+// appenders, a clock stepping backwards and a heartbeat ahead of the
+// clock never put the stream out of order. Replicated appends keep the
+// primary's stamps and pass nil.
+func (r *Runtime) PushBatchCtx(tc trace.Ctx, stream string, rows []types.Row, clock func() time.Time) error {
 	src, err := r.lookup(stream)
 	if err != nil {
 		return err
 	}
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	return src.deliver(r, tc, rows, 0, false)
+	return src.deliver(r, tc, rows, clock)
 }
 
 // prepare validates a batch and stamps each row with its timestamp,
-// applying the late policy against a running high-water mark. On success
-// the source clock advances; on error nothing is delivered and the clock
-// is untouched. The returned block is pooled and refcounted: the caller
-// owns one reference (release when done) and takes more for each worker
-// the batch is handed to. Callers hold s.mu.
-func (s *source) prepare(r *Runtime, rows []types.Row, explicitTS int64, explicit bool) (*batchBlock, error) {
+// applying the late policy against a running high-water mark. With a
+// clock (CQTIME SYSTEM), the batch's rows are copied with their CQTIME
+// column set to one arrival time no earlier than the high-water mark. On
+// success the source clock advances; on error nothing is delivered and
+// the clock is untouched. The returned block is pooled and refcounted:
+// the caller owns one reference (release when done) and takes more for
+// each worker the batch is handed to. Callers hold s.mu.
+func (s *source) prepare(r *Runtime, rows []types.Row, explicitTS int64, explicit bool, clock func() time.Time) (*batchBlock, error) {
 	block := getBatchBlock(len(rows))
 	batch := block.rows
 	fail := func(err error) (*batchBlock, error) {
@@ -593,6 +596,14 @@ func (s *source) prepare(r *Runtime, rows []types.Row, explicitTS int64, explici
 	}
 	arity := len(s.schema)
 	hwm, has := s.lastTS, s.hasTS
+	var arrival types.Datum
+	if clock != nil {
+		ts := clock().UnixMicro()
+		if has && ts < hwm {
+			ts = hwm
+		}
+		arrival = types.NewTimestampMicros(ts)
+	}
 	for _, row := range rows {
 		if len(row) != arity {
 			return fail(fmt.Errorf("stream: %s: row has %d columns, schema has %d",
@@ -603,6 +614,10 @@ func (s *source) prepare(r *Runtime, rows []types.Row, explicitTS int64, explici
 		case explicit:
 			ts = explicitTS
 		case s.cqtimeCol >= 0:
+			if clock != nil {
+				row = row.Clone()
+				row[s.cqtimeCol] = arrival
+			}
 			d := row[s.cqtimeCol]
 			if d.Type() != types.TypeTimestamp {
 				return fail(fmt.Errorf("stream: %s: CQTIME column is %s, want TIMESTAMP", s.name, d.Type()))
@@ -631,49 +646,39 @@ func (s *source) prepare(r *Runtime, rows []types.Row, explicitTS int64, explici
 	return block, nil
 }
 
-// soleIdleWorker returns this source's single subscribing pipeline when
-// its worker can be bypassed: exactly one pipeline, it runs in worker
-// mode, it has not failed, and the worker has no backlog — nothing
-// queued and everything enqueued already applied. In that state the
-// producer applies the task inline, skipping the channel hand-off whose
-// wake-up latency makes k=1 parallel mode slower than serial. Memory
+// inline decides, for one delivery, whether the producer applies it to
+// the pipelines itself instead of enqueuing it on their mailboxes. It is
+// always true without a scheduler (the pipelines have no mailboxes; the
+// synchronous engine). With one, it is true only for a single subscriber
+// whose worker is idle — not failed, nothing queued, everything enqueued
+// already applied — so the producer skips the channel hand-off whose
+// wake-up latency made k=1 parallel mode slower than serial. Memory
 // ordering: applied is incremented after the worker's last mutation of
 // pipeline state, so enqueued == applied proves those writes are visible
-// here; the next enqueue (channel send) publishes the producer's inline
-// mutations back to the worker. Callers hold s.mu.
-func (s *source) soleIdleWorker() (*Pipeline, bool) {
-	if s.workers != 1 || len(s.pipes) != 1 {
-		return nil, false
+// here; the next enqueue publishes the producer's inline mutations back
+// to the worker. Callers hold s.mu.
+func (s *source) inline() bool {
+	if len(s.pipes) == 0 || s.pipes[0].mbox == nil {
+		return true
+	}
+	if len(s.pipes) != 1 {
+		return false
 	}
 	p := s.pipes[0]
-	if p.mbox == nil || p.failed.Load() || p.mbox.depth() != 0 {
-		return nil, false
-	}
-	if p.enqueued.Load() != p.applied.Load() {
-		return nil, false
-	}
-	return p, true
-}
-
-// failInlineLocked detaches a worker pipeline that failed while being
-// run inline on the producer and stops its (idle) worker. Callers hold
-// s.mu.
-func (s *source) failInlineLocked(pipe *Pipeline, err error) error {
-	s.detachLocked(pipe)
-	pipe.stop()
-	return err
+	return !p.failed.Load() && p.mbox.depth() == 0 && p.enqueued.Load() == p.applied.Load()
 }
 
 // deliver fans one validated batch out to every subscriber. A row at ts
 // proves every window closing at or before ts complete, so each pipeline
 // fires those closes before buffering the row — per pipeline, rows and
-// closes interleave exactly as in row-at-a-time delivery. Callers hold
-// s.mu.
-func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, explicitTS int64, explicit bool) error {
+// closes interleave exactly as in row-at-a-time delivery. Order: the
+// batch is enqueued on the mailboxes (unless delivery is inline), then
+// the taps run, then inline pipelines step. Callers hold s.mu.
+func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, clock func() time.Time) error {
 	if err := s.sweepFailedLocked(); err != nil {
 		return err
 	}
-	block, err := s.prepare(r, rows, explicitTS, explicit)
+	block, err := s.prepare(r, rows, 0, false, clock)
 	if err != nil {
 		return err
 	}
@@ -690,7 +695,7 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, explicitTS 
 		tc = r.tracer.Begin(s.name, len(batch))
 	}
 	s.rows.Add(int64(len(batch)))
-	if r.OnIngest != nil && s.cqtimeCol >= 0 && !s.internal {
+	if r.OnIngest != nil && !s.internal {
 		// The batch entered the stream (the clock advanced) even if a
 		// subscriber sink fails below, so the event is published before
 		// fan-out. Copy the rows out of the pooled batch block: the
@@ -701,54 +706,40 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, explicitTS 
 		}
 		r.OnIngest(tc, s.name, accepted)
 	}
-	// Hand the batch to worker pipelines first so they chew on it while
-	// the producer walks the synchronous subscribers — except when the
-	// source's single subscriber has an idle worker, where applying
-	// inline skips the queue hand-off entirely.
-	if pipe, ok := s.soleIdleWorker(); ok {
+	inline := s.inline()
+	if !inline {
+		// Queue first so workers chew on the batch while the producer
+		// runs the taps.
+		s.fanOutWorkers(r, tc, task{kind: taskBatch, batch: batch, block: block}, true)
+	}
+	// Base-stream taps archive the raw feed; one call per batch turns
+	// the channel's transaction (and WAL append + fsync) per ROW into
+	// one per BATCH. Taps run before inline pipelines step so a window
+	// firing mid-batch sees the whole batch archived.
+	if len(s.taps) > 0 {
+		rb := getRowsBlock(len(batch))
+		for _, tr := range batch {
+			rb.rows = append(rb.rows, tr.row)
+		}
+		err := s.runTaps(tc, batch[len(batch)-1].ts, rb.rows)
+		rb.put()
+		if err != nil {
+			return err
+		}
+	}
+	if !inline {
+		return nil
+	}
+	// Inline: the whole batch, one pipeline at a time.
+	for _, pipe := range s.pipes {
 		if tc.ID != 0 {
-			// Inline delivery skips the queue; zero-duration enqueue and
-			// pickup markers keep the parallel-mode span chain uniform.
+			// Inline delivery has no queue; zero-duration enqueue and
+			// pickup markers keep the span chain the same in every mode.
 			now := time.Now().UnixMicro()
 			r.tracer.Record(trace.Span{Trace: tc.ID, Stage: trace.StageEnqueue,
 				Stream: s.name, Pipe: pipe.id, Start: now, Rows: len(batch)})
 			r.tracer.Record(trace.Span{Trace: tc.ID, Stage: trace.StagePickup,
 				Stream: s.name, Pipe: pipe.id, Start: now, Rows: len(batch)})
-		}
-		if err := pipe.processBatch(batch, tc); err != nil {
-			return s.failInlineLocked(pipe, err)
-		}
-	} else {
-		s.fanOutWorkers(r, tc, task{kind: taskBatch, batch: batch, block: block}, true)
-	}
-	// Base-stream taps archive the raw feed; one call per batch turns
-	// the channel's transaction (and WAL append + fsync) per ROW into
-	// one per BATCH. Taps run before synchronous pipelines step so a
-	// window firing mid-batch sees the whole batch archived.
-	if !explicit && s.cqtimeCol >= 0 && len(s.taps) > 0 {
-		rb := getRowsBlock(len(batch))
-		for _, tr := range batch {
-			rb.rows = append(rb.rows, tr.row)
-		}
-		last := batch[len(batch)-1].ts
-		for _, tap := range s.taps {
-			if err := (*tap)(tc, last, rb.rows); err != nil {
-				rb.put()
-				return err
-			}
-		}
-		rb.put()
-	}
-	// Synchronous pipelines: the whole batch, one pipeline at a time.
-	for _, pipe := range s.pipes {
-		if pipe.mbox != nil {
-			continue
-		}
-		if tc.ID != 0 {
-			// Synchronous delivery has no queue; the enqueue span is a
-			// zero-duration hand-off marker keeping the chain uniform.
-			r.tracer.Record(trace.Span{Trace: tc.ID, Stage: trace.StageEnqueue,
-				Stream: s.name, Pipe: pipe.id, Start: time.Now().UnixMicro(), Rows: len(batch)})
 		}
 		if err := pipe.processBatch(batch, tc); err != nil {
 			return s.failLocked(pipe, err)
@@ -757,18 +748,27 @@ func (s *source) deliver(r *Runtime, tc trace.Ctx, rows []types.Row, explicitTS 
 	return nil
 }
 
-// fanOutWorkers enqueues one task on every worker pipeline, recording an
-// enqueue span (duration = backpressure wait) for sampled batches. Each
-// enqueue takes one reference on the task's batch block; the worker
+// runTaps hands one delivery (its last timestamp and rows) to every tap.
+// Callers hold s.mu.
+func (s *source) runTaps(tc trace.Ctx, ts int64, rows []types.Row) error {
+	for _, tap := range s.taps {
+		if err := (*tap)(tc, ts, rows); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fanOutWorkers enqueues one task on every pipeline's mailbox, recording
+// an enqueue span (duration = backpressure wait) for sampled batches.
+// Each enqueue takes one reference on the task's batch block; the worker
 // releases it after applying (or dropping) the task. bounded applies the
 // mailbox backpressure bound — true only on the external producer path,
 // never for work originating inside the worker pool (see worker.go).
+// Callers hold s.mu and have found delivery not inline.
 func (s *source) fanOutWorkers(r *Runtime, tc trace.Ctx, t task, bounded bool) {
 	t.tc = tc
 	for _, pipe := range s.pipes {
-		if pipe.mbox == nil {
-			continue
-		}
 		if t.block != nil {
 			t.block.retain()
 		}
@@ -808,17 +808,11 @@ func (s *source) advanceLocked(r *Runtime, ts int64) error {
 	if r.OnAdvance != nil && s.cqtimeCol >= 0 {
 		r.OnAdvance(s.name, ts)
 	}
+	if !s.inline() {
+		s.fanOutWorkers(r, trace.Ctx{}, task{kind: taskAdvance, ts: ts}, true)
+		return nil
+	}
 	for _, pipe := range s.pipes {
-		if pipe.mbox != nil {
-			if inline, ok := s.soleIdleWorker(); ok && inline == pipe {
-				if err := pipe.advanceTo(ts); err != nil {
-					return s.failInlineLocked(pipe, err)
-				}
-				continue
-			}
-			pipe.enqueue(task{kind: taskAdvance, ts: ts}, true)
-			continue
-		}
 		if err := pipe.advanceTo(ts); err != nil {
 			return s.failLocked(pipe, err)
 		}
@@ -855,8 +849,8 @@ func (r *Runtime) Tap(stream string, sink Sink) (func(), error) {
 // DerivedSink returns the sink that feeds a derived stream's source. The
 // engine wires it as the sink of the derived stream's always-on pipeline.
 // Emission takes the derived source's own lock, so the sink may run on any
-// goroutine — the producer in synchronous mode, the upstream pipeline's
-// worker in parallel mode.
+// goroutine — the producer when delivery is inline, the upstream
+// pipeline's worker otherwise.
 func (r *Runtime) DerivedSink(stream string) Sink {
 	return func(tc trace.Ctx, closeTS int64, rows []types.Row) error {
 		return r.emitDerived(tc, stream, closeTS, rows)
@@ -867,7 +861,8 @@ func (r *Runtime) DerivedSink(stream string) Sink {
 // all rows share the emission timestamp closeTS, and the emission boundary
 // itself is signalled for SLICES-window consumers. The upstream fire's
 // trace context rides along, so a sampled base-stream batch's chain
-// continues through every derived stream it cascades into.
+// continues through every derived stream it cascades into. Delivery order
+// is deliver's: enqueue, taps, inline pipelines.
 func (r *Runtime) emitDerived(tc trace.Ctx, stream string, closeTS int64, rows []types.Row) error {
 	r.mu.RLock()
 	src, ok := r.sources[stream]
@@ -881,45 +876,34 @@ func (r *Runtime) emitDerived(tc trace.Ctx, stream string, closeTS int64, rows [
 	if err := src.sweepFailedLocked(); err != nil {
 		return err
 	}
-	block, err := src.prepare(r, rows, closeTS, true)
+	block, err := src.prepare(r, rows, closeTS, true, nil)
 	if err != nil {
 		return err
 	}
 	defer block.release()
 	batch := block.rows
 	src.rows.Add(int64(len(batch)))
-	if pipe, ok := src.soleIdleWorker(); ok {
-		if err := pipe.processBatch(batch, tc); err != nil {
-			return src.failInlineLocked(pipe, err)
-		}
-		if err := pipe.endEmission(closeTS, len(rows)); err != nil {
-			return src.failInlineLocked(pipe, err)
-		}
-	} else {
+	inline := src.inline()
+	if !inline {
 		// Unbounded: emissions may originate on a pool worker, which must
 		// never block on another pipeline's mailbox bound (deadlock).
 		src.fanOutWorkers(r, tc, task{kind: taskEmission, batch: batch, block: block,
 			ts: closeTS, emRows: len(rows)}, false)
 	}
+	if err := src.runTaps(tc, closeTS, rows); err != nil {
+		return err
+	}
+	if !inline {
+		return nil
+	}
 	for _, pipe := range src.pipes {
-		if pipe.mbox != nil {
-			continue
-		}
 		if err := pipe.processBatch(batch, tc); err != nil {
 			return src.failLocked(pipe, err)
 		}
 	}
 	for _, pipe := range src.pipes {
-		if pipe.mbox != nil {
-			continue
-		}
 		if err := pipe.endEmission(closeTS, len(rows)); err != nil {
 			return src.failLocked(pipe, err)
-		}
-	}
-	for _, tap := range src.taps {
-		if err := (*tap)(tc, closeTS, rows); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -932,13 +916,7 @@ func (r *Runtime) emitDerived(tc trace.Ctx, stream string, closeTS int64, rows [
 // does not prevent concurrent producers; callers wanting a true barrier
 // stop pushing first.
 func (r *Runtime) Quiesce() error {
-	for {
-		before := r.tasksEnqueued()
-		r.flushWorkers()
-		if r.tasksEnqueued() == before {
-			break
-		}
-	}
+	r.drainWorkers()
 	var errs []error
 	for _, src := range r.snapshotSources() {
 		src.mu.Lock()
@@ -955,16 +933,27 @@ func (r *Runtime) Quiesce() error {
 	return errors.Join(errs...)
 }
 
-// tasksEnqueued sums the lifetime task counts of every worker pipeline;
-// Quiesce uses it to detect cascaded work between flush passes.
+// drainWorkers flushes every mailbox until a pass enqueues nothing new:
+// work applied behind one barrier can cascade through derived streams
+// into mailboxes the pass already flushed.
+func (r *Runtime) drainWorkers() {
+	for {
+		before := r.tasksEnqueued()
+		r.flushWorkers()
+		if r.tasksEnqueued() == before {
+			return
+		}
+	}
+}
+
+// tasksEnqueued sums the lifetime task counts of every pipeline (zero for
+// pipelines without a mailbox).
 func (r *Runtime) tasksEnqueued() int64 {
 	var n int64
 	for _, src := range r.snapshotSources() {
 		src.mu.Lock()
 		for _, p := range src.pipes {
-			if p.mbox != nil {
-				n += p.enqueued.Load()
-			}
+			n += p.enqueued.Load()
 		}
 		src.mu.Unlock()
 	}
@@ -1009,24 +998,11 @@ func (r *Runtime) Close() error {
 
 	// Graceful drain first, so cascaded emissions still find their
 	// consumers attached.
-	for {
-		before := r.tasksEnqueued()
-		r.flushWorkers()
-		if r.tasksEnqueued() == before {
-			break
-		}
-	}
+	r.drainWorkers()
 	var errs []error
 	var pipes []*Pipeline
 	for _, src := range r.snapshotSources() {
-		src.mu.Lock()
-		pipes = append(pipes, src.pipes...)
-		pipes = append(pipes, src.members...)
-		pipes = append(pipes, src.retired...)
-		src.pipes, src.workers = nil, 0
-		src.members, src.retired = nil, nil
-		src.groups = make(map[string]*planGroup)
-		src.mu.Unlock()
+		pipes = append(pipes, src.detachAll()...)
 	}
 	for _, pipe := range pipes {
 		pipe.stop()

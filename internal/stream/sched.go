@@ -20,10 +20,11 @@ import (
 // 10k idle mailboxes, not 10k parked goroutine stacks, and wake-up work
 // is bounded by the worker pool.
 //
-// Topology: one bounded deque per worker. A producer submits a runnable
-// pipeline to a deque chosen round-robin; the owning worker pops from the
-// front (FIFO fairness), and an idle worker steals the back half of the
-// first non-empty victim deque it finds (steal-half amortizes the steal
+// Topology: one unbounded deque per worker, GOMAXPROCS workers. A
+// producer submits a runnable pipeline to a deque chosen round-robin; the
+// owning worker pops from the front (FIFO fairness), and an idle worker
+// scans the other deques linearly from its right neighbour and steals the
+// back half of the first non-empty one (steal-half amortizes the steal
 // lock against future polls). Idle workers park on a single condition
 // variable; a submit bumps a generation counter and signals, and a parked
 // worker re-scans before sleeping so no submit is lost.
@@ -60,10 +61,9 @@ type schedDeque struct {
 // runnable peers wait (round-robin fairness at task granularity).
 const schedQuantum = 32
 
-func newScheduler(workers int, reg *metrics.Registry) *scheduler {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// newScheduler starts a pool of GOMAXPROCS workers.
+func newScheduler(reg *metrics.Registry) *scheduler {
+	workers := runtime.GOMAXPROCS(0)
 	s := &scheduler{
 		deques: make([]schedDeque, workers),
 		steals: &metrics.Counter{},

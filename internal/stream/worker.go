@@ -69,7 +69,7 @@ const (
 
 // mailbox is one pipeline's task queue. q[head:] are pending tasks; size
 // mirrors that count atomically for lock-free depth reads (metrics,
-// soleIdleWorker).
+// source.inline).
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // producers blocked on bound; stop waiting for running
@@ -141,7 +141,7 @@ func (p *Pipeline) enqueue(t task, bounded bool) {
 // error on the next Push/Advance/Quiesce/Close. Block references are
 // released even for dropped work, and applied counts every non-flush task
 // — after its effects are complete — so the producer's idle check
-// (soleIdleWorker) is exact.
+// (source.inline) is exact.
 func (p *Pipeline) runMailbox() {
 	m := p.mbox
 	n := 0

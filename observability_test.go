@@ -194,3 +194,55 @@ func TestExplainAnalyze(t *testing.T) {
 		t.Fatalf("want snapshot-only error, got %v", err)
 	}
 }
+
+// TestFailedPipelineReleasesGauges: a pipeline whose window state fails
+// on a row is stopped, not only detached, in every execution mode — its
+// streamrel_ivm_state_* gauges must not outlive the failure.
+func TestFailedPipelineReleasesGauges(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"inline", Config{}},
+		{"inline-unshared", Config{DisablePlanSharing: true}},
+		{"parallel", Config{ParallelCQ: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := Open(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			mustExec(t, e, `CREATE STREAM s (k bigint, v bigint, at timestamp CQTIME USER)`)
+			cq, err := e.Subscribe(`SELECT k, sum(sqrt(v)) FROM s <VISIBLE '1 minute' ADVANCE '1 minute'> GROUP BY k`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ivmSeries := func() []string {
+				var ids []string
+				for id := range gatherMap(e) {
+					if strings.HasPrefix(id, "streamrel_ivm_state_") {
+						ids = append(ids, id)
+					}
+				}
+				return ids
+			}
+			if len(ivmSeries()) == 0 {
+				t.Fatal("no streamrel_ivm_state_* series for an incremental CQ")
+			}
+			base := MustTimestamp("2009-01-04 00:00:00")
+			appendErr := e.Append("s", Row{Int(1), Int(-1), Timestamp(base)})
+			flushErr := e.Flush()
+			if appendErr == nil && flushErr == nil {
+				t.Fatal("sqrt of a negative value surfaced no error")
+			}
+			if ids := ivmSeries(); len(ids) != 0 {
+				t.Fatalf("failed pipeline still exports %v", ids)
+			}
+			cq.Close()
+			if ids := ivmSeries(); len(ids) != 0 {
+				t.Fatalf("failed pipeline still exports %v after CQ.Close", ids)
+			}
+		})
+	}
+}

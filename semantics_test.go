@@ -1,6 +1,8 @@
 package streamrel
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -62,6 +64,72 @@ func TestSystemCQTimeMonotonic(t *testing.T) {
 	clock = clock.Add(-time.Hour) // NTP step backwards
 	if err := e.Append("s", Row{Int(2), Null}); err != nil {
 		t.Fatalf("monotonic stamping should absorb clock regressions: %v", err)
+	}
+}
+
+// TestSystemCQTimeConcurrentAppends: concurrent appenders to one CQTIME
+// SYSTEM stream never see an out-of-order error — the arrival stamp is
+// taken under the stream's own lock, so stamping order is delivery order.
+func TestSystemCQTimeConcurrentAppends(t *testing.T) {
+	e := openMem(t)
+	mustExec(t, e, `CREATE STREAM s (v bigint, at timestamp CQTIME SYSTEM)`)
+	const writers, perWriter = 8, 2000
+	var wg sync.WaitGroup
+	var failed atomic.Int64
+	var firstErr atomic.Value
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := e.Append("s", Row{Int(int64(w*perWriter + i)), Null}); err != nil {
+					failed.Add(1)
+					firstErr.CompareAndSwap(nil, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := failed.Load(); n > 0 {
+		t.Fatalf("%d of %d concurrent appends failed; first: %v", n, writers*perWriter, firstErr.Load())
+	}
+	if got := gatherMap(e)[`streamrel_stream_rows_total{stream="s"}`]; got == nil || got.Value != writers*perWriter {
+		t.Fatalf("streamrel_stream_rows_total = %+v, want %d", got, writers*perWriter)
+	}
+}
+
+// TestSystemCQTimeHeartbeatAhead: a heartbeat ahead of the engine clock
+// on a CQTIME SYSTEM stream does not make the next append fail; the row
+// is stamped at the heartbeat (the stream's high-water mark).
+func TestSystemCQTimeHeartbeatAhead(t *testing.T) {
+	clock := MustTimestamp("2009-01-04 12:00:00")
+	e, err := Open(Config{Now: func() time.Time { return clock }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	mustExec(t, e, `CREATE STREAM s (v bigint, at timestamp CQTIME SYSTEM)`)
+	cq, err := e.Subscribe(`SELECT v, at FROM s <ADVANCE '1 minute'>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cq.Close()
+	ahead := clock.Add(time.Hour)
+	if err := e.AdvanceTime("s", ahead); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Append("s", Row{Int(1), Null}); err != nil {
+		t.Fatalf("append after a heartbeat ahead of the clock: %v", err)
+	}
+	if err := e.AdvanceTime("s", ahead.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	b, ok := cq.TryNext()
+	if !ok || len(b.Rows) != 1 {
+		t.Fatalf("batch: %+v ok=%v", b, ok)
+	}
+	if got := b.Rows[0][1].Time(); !got.Equal(ahead) {
+		t.Fatalf("row stamped %v, want the heartbeat %v", got, ahead)
 	}
 }
 

@@ -127,16 +127,13 @@ type Config struct {
 	LateRows LateRowPolicy
 	// ParallelCQ > 0 gives each continuous query (or plan-sharing host) a
 	// bounded mailbox of that many micro-batches (blocking backpressure on
-	// producers) drained by a work-stealing scheduler pool (SchedWorkers),
-	// so fan-out to N CQs scales across cores without N goroutines.
+	// producers) drained by a GOMAXPROCS-sized work-stealing scheduler
+	// pool, so fan-out to N CQs scales across cores without N goroutines.
 	// Per-CQ results are identical to the default synchronous mode; see
 	// DESIGN.md §12 for the cross-CQ ordering relaxations this implies.
-	// 0 (default) keeps the fully synchronous, deterministic engine.
+	// 0 (default) applies every delivery inline on the producer: the
+	// fully synchronous, deterministic engine.
 	ParallelCQ int
-	// SchedWorkers sizes the work-stealing pool that executes parallel
-	// continuous queries; 0 (default) uses GOMAXPROCS. Only meaningful
-	// with ParallelCQ > 0.
-	SchedWorkers int
 	// Replicate enables the replication hub: every committed WAL batch
 	// and stream event gets a monotonic LSN and is retained in a bounded
 	// in-memory ring for replicas (see internal/repl and DESIGN.md
@@ -222,11 +219,6 @@ type Engine struct {
 	// Config.SysMonInterval is non-zero.
 	sysmon *sysmon.Monitor
 
-	// sysClock tracks the last arrival timestamp stamped per CQTIME
-	// SYSTEM stream, guaranteeing monotonicity.
-	sysMu    sync.Mutex
-	sysClock map[string]int64
-
 	recovering bool
 	closed     bool
 }
@@ -239,7 +231,6 @@ func Open(cfg Config) (*Engine, error) {
 		mgr:          txn.NewManager(),
 		derivedPipes: make(map[string]*stream.Pipeline),
 		channelTaps:  make(map[string]func()),
-		sysClock:     make(map[string]int64),
 	}
 	e.reg = cfg.Metrics
 	if e.reg == nil {
@@ -251,7 +242,6 @@ func Open(cfg Config) (*Engine, error) {
 	e.rt.SetMetrics(e.reg)
 	e.rt.Late = stream.LatePolicy(cfg.LateRows)
 	e.rt.SetParallel(cfg.ParallelCQ)
-	e.rt.SetSchedWorkers(cfg.SchedWorkers)
 	if cfg.TraceSampleEvery >= 0 {
 		e.tracer = trace.New(trace.Options{
 			SampleEvery: cfg.TraceSampleEvery,
@@ -557,39 +547,28 @@ func (e *Engine) AppendTraced(traceID uint64, streamName string, rows ...Row) er
 	if isSysName(streamName) {
 		return errSysReserved(streamName)
 	}
-	if st, ok := e.cat.Stream(streamName); ok && st.SystemTime {
-		e.stampSystemTime(st, rows)
-	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	var tc trace.Ctx
 	if traceID != 0 {
-		return e.rt.PushBatchCtx(e.tracer.Adopt(traceID), streamName, rows)
+		tc = e.tracer.Adopt(traceID)
 	}
-	return e.rt.PushBatch(streamName, rows)
+	return e.pushStream(tc, streamName, rows)
 }
 
-// stampSystemTime overwrites the CQTIME column of each row with a
-// monotonically non-decreasing arrival timestamp from the engine clock
-// ("CQTIME SYSTEM" semantics).
-func (e *Engine) stampSystemTime(st *catalog.Stream, rows []Row) {
-	if !st.SystemTime {
-		return
-	}
-	now := time.Now
-	if e.cfg.Now != nil {
-		now = e.cfg.Now
-	}
-	e.sysMu.Lock()
-	defer e.sysMu.Unlock()
-	for i := range rows {
-		ts := now().UnixMicro()
-		if last := e.sysClock[st.Name]; ts < last {
-			ts = last
+// pushStream delivers rows into a base stream. On a CQTIME SYSTEM stream
+// the runtime stamps each batch with its arrival time from the engine
+// clock, under the stream's own lock, so stamps never run backwards even
+// with concurrent appenders or a heartbeat ahead of the clock.
+func (e *Engine) pushStream(tc trace.Ctx, streamName string, rows []Row) error {
+	var clock func() time.Time
+	if st, ok := e.cat.Stream(streamName); ok && st.SystemTime {
+		clock = e.cfg.Now
+		if clock == nil {
+			clock = time.Now
 		}
-		e.sysClock[st.Name] = ts
-		rows[i] = rows[i].Clone()
-		rows[i][st.CQTimeCol] = types.NewTimestampMicros(ts)
 	}
+	return e.rt.PushBatchCtx(tc, streamName, rows, clock)
 }
 
 // Checkpoint compacts heaps, writes a checkpoint file, and truncates the

@@ -74,7 +74,8 @@ func driveOneWindow(t *testing.T, e *Engine, rows int) {
 }
 
 // TestTraceChainSync is the acceptance check: a sampled batch yields one
-// queryable span chain ingest -> enqueue -> window-fire -> cq-deliver.
+// queryable span chain ingest -> enqueue -> pickup -> window-fire ->
+// cq-deliver (inline delivery records zero-duration enqueue and pickup).
 func TestTraceChainSync(t *testing.T) {
 	e := openTrace(t, Config{TraceSampleEvery: 1})
 	defer e.Close()
@@ -84,10 +85,10 @@ func TestTraceChainSync(t *testing.T) {
 	if len(spans) == 0 {
 		t.Fatal("no spans recorded with TraceSampleEvery=1")
 	}
-	id, ok := traceWithStages(spans,
-		trace.StageIngest, trace.StageEnqueue, trace.StageWindowFire, trace.StageCQDeliver)
+	id, ok := traceWithStages(spans, trace.StageIngest, trace.StageEnqueue,
+		trace.StagePickup, trace.StageWindowFire, trace.StageCQDeliver)
 	if !ok {
-		t.Fatalf("no trace covers ingest/enqueue/window-fire/cq-deliver; spans: %+v", spans)
+		t.Fatalf("no trace covers ingest/enqueue/pickup/window-fire/cq-deliver; spans: %+v", spans)
 	}
 	for _, s := range spans {
 		if s.Trace == id && s.Stage == trace.StageIngest && s.Start == 0 {
